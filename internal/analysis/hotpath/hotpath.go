@@ -1,10 +1,10 @@
 // Package hotpath enforces the zero-steady-state-allocation contract on
 // functions annotated with a //simlint:hotpath comment (placed in the
 // function's doc comment). The simulator's inner loops — Device.Step,
-// the dispatcher's speculation pass, the time-series sampler's row emit
-// — run millions of times per simulated second; a single allocation in
-// one of them shows up directly as ns/op and GC pressure in the bench
-// suite. The analyzer rejects the constructs that introduce per-call
+// the fleet event loop and its dispatch step, the time-series
+// sampler's row emit — run millions of times per simulated second; a
+// single allocation in one of them shows up directly as ns/op and GC
+// pressure in the bench suite. The analyzer rejects the constructs that introduce per-call
 // allocations:
 //
 //   - closure literals (captured variables escape)

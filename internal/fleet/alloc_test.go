@@ -7,16 +7,11 @@ import (
 )
 
 // dispatchRig isolates the modeled engine's steady-state dispatch round
-// for the alloc guard and BenchmarkFleetDispatch: a warm dispatcher, a
-// standing backlog, and a completion heap, with completed jobs fed back
-// into the queue so the backlog never drains.
+// for the alloc guard and BenchmarkFleetDispatch: a warm event loop with
+// a standing backlog, with completed jobs fed back into the queue so the
+// backlog never drains.
 type dispatchRig struct {
-	f        *Fleet
-	queue    jobQueue
-	disp     *dispatcher
-	resolved flightHeap
-	now      uint64
-	seq      int
+	l *loop
 }
 
 // newDispatchRig builds the rig on the 4-device test fleet with a
@@ -37,44 +32,33 @@ func newDispatchRig(tb testing.TB) *dispatchRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rig := &dispatchRig{
-		f:        f,
-		disp:     f.newDispatcher(),
-		resolved: flightHeap{live: flightResolved, less: completionLess},
-	}
+	l := f.newLoop(0, nil, nil)
 	for _, j := range jobs {
-		rig.queue.insert(j)
+		l.queue.insert(j)
 	}
-	return rig
+	return &dispatchRig{l: l}
 }
 
 // step runs one steady-state dispatch round on device 0 — exactly the
-// modeled engine's per-decision work: form a group, commit its modeled
-// completion, pop and retire it, recycle the flight — and returns how
-// many jobs it dispatched. The completed group's jobs are re-queued
-// before recycle (recycle nils the flight's job slots), so the backlog
-// is invariant across rounds.
+// modeled engine's per-decision work: the loop's own dispatch step
+// (form a group, commit its modeled completion), then pop and recycle
+// the flight — and returns how many jobs it dispatched. The completed
+// group's jobs are re-queued before recycle (recycle nils the flight's
+// job slots), so the backlog is invariant across rounds.
 func (r *dispatchRig) step(tb testing.TB) int {
-	fl := r.disp.newFlight()
-	members, usedILP := r.disp.formGroup(fl.jobs[:0], &r.queue, 0, r.now)
-	fl.device = 0
-	fl.typ = 0
-	fl.dispatch = r.now
-	fl.seq = r.seq
-	fl.jobs = members
-	fl.ilp = usedILP
-	r.seq++
-	if err := r.disp.commitModeled(fl, r.now, 1.0, &r.resolved); err != nil {
+	l := r.l
+	if err := l.dispatch(0); err != nil {
 		tb.Fatal(err)
 	}
-	got := r.resolved.pop()
+	got := l.resolved.pop()
 	got.state = flightRetired
+	l.flightOf[got.device] = nil
 	for _, j := range got.jobs {
-		r.queue.insert(j)
+		l.queue.insert(j)
 	}
 	n := len(got.jobs)
-	r.disp.recycle(got)
-	r.now++
+	l.disp.recycle(got)
+	l.now++
 	return n
 }
 

@@ -26,8 +26,8 @@ import (
 //     route on.
 //
 // All of it is driven through one deterministic control-event heap
-// (loopCtl) owned by each event loop — the classic loop owns one, each
-// shard owns its own — ordered by (cycle, push sequence). Every random
+// (loopCtl) owned by each event loop — one per shard, or one for an
+// unsharded run — ordered by (cycle, push sequence). Every random
 // draw comes from per-client internal/rng streams derived only from the
 // configured seed and the client id, never from which shard runs the
 // client, so reruns are byte-identical at any shard count. With every
@@ -283,20 +283,12 @@ type clientState struct {
 	cursor int
 }
 
-// loopCtl is one event loop's control state: the classic loop owns one,
-// each shard owns its own over its clients and devices. It mutates only
-// state the owning loop already owns (queue, idle heap, counters), so
-// shards stay lock-free.
+// loopCtl is one event loop's control state over that loop's clients
+// and devices. It mutates only state the owning loop l already owns
+// (queue, idle heap, counters), so shard loops stay lock-free.
 type loopCtl struct {
-	f   *Fleet
-	res *Result
-	// The owning loop's structures. slot maps global device index to the
-	// loop's flightOf slot (identity for the classic loop).
-	queue     *jobQueue
-	idleDevs  *deviceHeap
-	flightOf  []*inflight
-	slot      []int
-	remaining *int
+	f *Fleet
+	l *loop
 
 	events ctlHeap
 	seq    int
@@ -305,16 +297,15 @@ type loopCtl struct {
 	// shards keep a nil stream and are never touched here.
 	clients []clientState
 
-	// Elastic-roster state over the loop's devices. active and pending
-	// are indexed by global device index; devices lists the loop's
-	// devices in placement order (fastest first).
+	// Elastic-roster state over the loop's devices (l.devices, in
+	// placement order). active and pending are indexed by global device
+	// index.
 	active      []bool
 	pending     []bool
 	activeCount int
 	pendingProv int
 	minDev      int
 	maxDev      int
-	devices     []int
 	epoch       uint64
 	// scaleArmed tracks whether an evScale tick is scheduled; the tick
 	// disarms itself once the loop has no outstanding work, so a drained
@@ -335,11 +326,6 @@ type loopCtl struct {
 	failedCount   int
 	drainingCount int
 	downActive    int
-	// onChaosEvict is the owning loop's bookkeeping hook for a chaos
-	// eviction (sampler busy span, hybrid warm-up refund, worker
-	// tracking); the shared handler does the queue/heap/accounting
-	// work first, then invokes it.
-	onChaosEvict func(fl *inflight, now uint64)
 }
 
 // ctlEnabled reports whether any control surface is configured — the
@@ -349,31 +335,23 @@ func (f *Fleet) ctlEnabled() bool {
 		f.cfg.Chaos.Enabled
 }
 
-// newLoopCtl wires a control block to one event loop. devices is the
-// loop's device set in placement order; minDev/maxDev are the loop's
-// share of the autoscale bounds (ignored unless autoscaling). A nil
-// slot means flightOf is indexed by global device (the classic loop).
-func (f *Fleet) newLoopCtl(res *Result, queue *jobQueue, idleDevs *deviceHeap, flightOf []*inflight, slot []int, remaining *int, devices []int, minDev, maxDev int) *loopCtl {
+// newLoopCtl wires a control block to event loop l over its devices
+// (l.devices, placement order); minDev/maxDev are the loop's share of
+// the autoscale bounds (ignored unless autoscaling).
+func (f *Fleet) newLoopCtl(l *loop, minDev, maxDev int) *loopCtl {
 	total := len(f.devType)
-	if slot == nil {
-		slot = make([]int, total)
-		for i := range slot {
-			slot[i] = i
-		}
-	}
 	c := &loopCtl{
-		f: f, res: res, queue: queue, idleDevs: idleDevs,
-		flightOf: flightOf, slot: slot, remaining: remaining,
+		f: f, l: l,
 		active: make([]bool, total), pending: make([]bool, total),
 		failed: make([]bool, total), draining: make([]bool, total),
-		minDev: minDev, maxDev: maxDev, devices: devices,
+		minDev: minDev, maxDev: maxDev,
 	}
-	want := len(devices)
+	want := len(l.devices)
 	if f.cfg.Autoscale.Enabled {
 		want = minDev
 		c.epoch = f.cfg.Autoscale.Epoch
 	}
-	for i, d := range devices {
+	for i, d := range l.devices {
 		if i < want {
 			c.active[d] = true
 			c.activeCount++
@@ -428,7 +406,7 @@ func (c *loopCtl) step(now uint64) {
 	case evScale:
 		c.scaleTick(now)
 	case evFail:
-		c.chaosFail(ev.aux, now)
+		c.chaosFail(ev.aux)
 	case evDrain:
 		c.chaosDrain(ev.aux)
 	case evRestore:
@@ -436,13 +414,12 @@ func (c *loopCtl) step(now uint64) {
 	}
 }
 
-// initChaos schedules this loop's share of the chaos events (the
-// classic loop owns every device; a shard skips devices it does not
-// own). Called before initClients so the heap's tie-break sequence is
-// a pure function of the configuration.
+// initChaos schedules this loop's share of the chaos events: those on
+// devices it owns. Called before initClients so the heap's tie-break
+// sequence is a pure function of the configuration.
 func (c *loopCtl) initChaos(events []ChaosEvent) {
 	for _, ev := range events {
-		if c.slot[ev.Device] < 0 {
+		if !c.l.owns(ev.Device) {
 			continue
 		}
 		var k ctlKind
@@ -470,11 +447,12 @@ func (c *loopCtl) deviceUp(d int) bool { return !c.failed[d] && !c.draining[d] }
 // meaning.
 func (c *loopCtl) upActive() int { return c.activeCount - c.downActive }
 
-// chaosFail kills device d at cycle now. An in-flight group is evicted
-// with checkpointed progress (trigger "chaos") and its jobs re-enter
-// the queue; an idle device just leaves the idle heap. Failing a
-// draining or already-failed device only hardens the state.
-func (c *loopCtl) chaosFail(d int, now uint64) {
+// chaosFail kills device d at the loop's current cycle. An in-flight
+// group is evicted with checkpointed progress (trigger "chaos") and its
+// jobs re-enter the queue, while the device stays out of the idle heap;
+// an idle device just leaves the idle heap. Failing a draining or
+// already-failed device only hardens the state.
+func (c *loopCtl) chaosFail(d int) {
 	if c.failed[d] {
 		return
 	}
@@ -485,23 +463,15 @@ func (c *loopCtl) chaosFail(d int, now uint64) {
 	}
 	c.failed[d] = true
 	c.failedCount++
-	c.res.Failures++
+	c.l.res.Failures++
 	if c.active[d] && !wasDown {
 		c.downActive++
 	}
-	if fl := c.flightOf[c.slot[d]]; fl != nil {
-		c.f.evictAs(fl, chaosTriggerID, now, c.res)
-		c.res.ChaosEvictions++
-		fl.state = flightEvicted
-		c.flightOf[c.slot[d]] = nil
-		if c.onChaosEvict != nil {
-			c.onChaosEvict(fl, now)
-		}
-		for _, j := range fl.jobs {
-			c.queue.insert(j)
-		}
+	if fl := c.l.flightOf[d]; fl != nil {
+		c.l.evict(fl, chaosTriggerID)
+		c.l.res.ChaosEvictions++
 	} else {
-		c.idleDevs.remove(d)
+		c.l.idleDevs.remove(d)
 	}
 }
 
@@ -514,11 +484,11 @@ func (c *loopCtl) chaosDrain(d int) {
 	}
 	c.draining[d] = true
 	c.drainingCount++
-	c.res.Drains++
+	c.l.res.Drains++
 	if c.active[d] {
 		c.downActive++
 	}
-	c.idleDevs.remove(d)
+	c.l.idleDevs.remove(d)
 }
 
 // chaosRestore returns a failed or draining device to service: if the
@@ -536,11 +506,11 @@ func (c *loopCtl) chaosRestore(d int) {
 		c.draining[d] = false
 		c.drainingCount--
 	}
-	c.res.Restores++
+	c.l.res.Restores++
 	if c.active[d] {
 		c.downActive--
-		if c.flightOf[c.slot[d]] == nil {
-			c.idleDevs.push(d)
+		if c.l.flightOf[d] == nil {
+			c.l.idleDevs.push(d)
 		}
 	}
 }
@@ -551,17 +521,17 @@ func (c *loopCtl) submit(j *job, now uint64, retry bool) {
 	cc := &c.f.cfg.Closed
 	j.attempts++
 	j.arrival = now
-	c.res.Submitted++
+	c.l.res.Submitted++
 	if retry {
-		c.res.Retried++
+		c.l.res.Retried++
 	}
 	c.armScale(now)
 	if !c.admit(j, now) {
-		c.res.Rejected++
+		c.l.res.Rejected++
 		c.fail(j, now, jsRejected)
 		return
 	}
-	c.queue.insert(j)
+	c.l.queue.insert(j)
 	if cc.Timeout > 0 {
 		c.push(ctlEvent{cycle: now + cc.Timeout, kind: evAbandon, j: j, aux: j.attempts})
 	}
@@ -573,14 +543,14 @@ func (c *loopCtl) submit(j *job, now uint64, retry bool) {
 // skips the queue insert.
 func (c *loopCtl) admitOpen(j *job, now uint64) bool {
 	j.attempts = 1
-	c.res.Submitted++
+	c.l.res.Submitted++
 	c.armScale(now)
 	if c.admit(j, now) {
 		return true
 	}
-	c.res.Rejected++
+	c.l.res.Rejected++
 	j.state = jsRejected
-	*c.remaining -= 1
+	c.l.remaining--
 	return false
 }
 
@@ -593,7 +563,7 @@ func (c *loopCtl) admit(j *job, now uint64) bool {
 	}
 	if ad.Degrade {
 		if j.slo == Latency {
-			c.res.Degraded++
+			c.l.res.Degraded++
 			j.slo = Batch
 			j.deadline = 0
 		}
@@ -614,11 +584,11 @@ func (c *loopCtl) admit(j *job, now uint64) bool {
 // Admission.Modeled the backlog term uses the interference-aware
 // per-job estimate (queue.cowork) instead of the plain solo sum.
 func (c *loopCtl) predictedWait(now uint64) uint64 {
-	if len(c.idleDevs.v) > 0 {
+	if len(c.l.idleDevs.v) > 0 {
 		return 0
 	}
 	earliest := uint64(math.MaxUint64)
-	for _, fl := range c.flightOf {
+	for _, fl := range c.l.flightOf {
 		if fl == nil {
 			continue
 		}
@@ -634,9 +604,9 @@ func (c *loopCtl) predictedWait(now uint64) uint64 {
 		wait = earliest - now
 	}
 	if up := c.upActive(); up > 0 {
-		work := c.queue.work
+		work := c.l.queue.work
 		if c.f.cfg.Admission.Modeled {
-			work = c.queue.cowork
+			work = c.l.queue.cowork
 		}
 		wait += work / uint64(up)
 	}
@@ -652,8 +622,8 @@ func (c *loopCtl) abandon(j *job, attempt int, now uint64) {
 		return
 	}
 	c.rmBuf[0] = j
-	c.queue.removeJobs(c.rmBuf[:1])
-	c.res.Abandoned++
+	c.l.queue.removeJobs(c.rmBuf[:1])
+	c.l.res.Abandoned++
 	c.fail(j, now, jsAbandoned)
 }
 
@@ -672,7 +642,7 @@ func (c *loopCtl) fail(j *job, now uint64, terminal uint8) {
 		return
 	}
 	j.state = terminal
-	*c.remaining -= 1
+	c.l.remaining--
 	if j.client >= 0 {
 		c.clientAdvance(j.client, now, now)
 	}
@@ -730,7 +700,7 @@ func (c *loopCtl) armScale(now uint64) {
 // With no outstanding work it disarms instead, so a finished loop's
 // event heap drains (armScale re-arms on the next submission).
 func (c *loopCtl) scaleTick(now uint64) {
-	if *c.remaining <= 0 {
+	if c.l.remaining <= 0 {
 		c.scaleArmed = false
 		return
 	}
@@ -741,13 +711,13 @@ func (c *loopCtl) scaleTick(now uint64) {
 	// the walk may provision a spare around it. (With every device
 	// down the division yields +Inf, which always trips the high
 	// watermark.) Without chaos, upActive == activeCount exactly.
-	pressure := float64(c.queue.Len()) / float64(c.upActive())
+	pressure := float64(c.l.queue.Len()) / float64(c.upActive())
 	if pressure > as.High && c.upActive()+c.pendingProv < c.maxDev {
 		// Scale up: the first inactive, non-provisioning, serving
 		// device in placement order starts provisioning and joins
 		// after the delay. Down devices are skipped — provisioning a
 		// failed device would add no capacity.
-		for _, d := range c.devices {
+		for _, d := range c.l.devices {
 			if !c.active[d] && !c.pending[d] && c.deviceUp(d) {
 				c.pending[d] = true
 				c.pendingProv++
@@ -761,13 +731,13 @@ func (c *loopCtl) scaleTick(now uint64) {
 		// never released — they retire their flight first — and down
 		// devices are not decommissioned: their outage is transient
 		// state the restore undoes, not a roster decision.
-		for i := len(c.devices) - 1; i >= 0; i-- {
-			d := c.devices[i]
-			if c.active[d] && c.deviceUp(d) && c.flightOf[c.slot[d]] == nil {
+		for i := len(c.l.devices) - 1; i >= 0; i-- {
+			d := c.l.devices[i]
+			if c.active[d] && c.deviceUp(d) && c.l.flightOf[d] == nil {
 				c.active[d] = false
 				c.activeCount--
-				c.idleDevs.remove(d)
-				c.res.Decommissions++
+				c.l.idleDevs.remove(d)
+				c.l.res.Decommissions++
 				break
 			}
 		}
@@ -782,12 +752,12 @@ func (c *loopCtl) provision(d int) {
 	c.pendingProv--
 	c.active[d] = true
 	c.activeCount++
-	c.res.Provisions++
+	c.l.res.Provisions++
 	if !c.deviceUp(d) {
 		c.downActive++
 		return
 	}
-	c.idleDevs.push(d)
+	c.l.idleDevs.push(d)
 }
 
 // resolveClosed materializes the closed-loop request universe: every
@@ -827,7 +797,7 @@ func (f *Fleet) resolveClosed() ([]*job, [][]*job, error) {
 }
 
 // splitBound is shard i's share of a fleet-wide device bound n dealt
-// over k shards — the same round-robin split newShards deals the
+// over k shards — the same round-robin split newLoop deals the
 // roster with, so per-shard autoscale bounds sum to the global ones.
 func splitBound(n, k, i int) int {
 	b := n / k

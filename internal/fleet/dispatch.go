@@ -56,10 +56,10 @@ func (f *Fleet) windowFor(q []*job, t int) int {
 // dispatcher owns one event loop's dispatch scratch state: the solve
 // memo, the aging-weight and class-pattern buffers group formation and
 // the analytic engine reuse across calls, and the retired-flight pool.
-// The classic loop builds one; each shard of a sharded run builds its
-// own, so parallel loops never share mutable state (the Fleet itself is
-// read-only after New). Everything here is buffer reuse and
-// memoization — a dispatcher never changes what is dispatched.
+// Every event loop builds its own, so parallel loops never share
+// mutable state (the Fleet itself is read-only after New). Everything
+// here is buffer reuse and memoization — a dispatcher never changes
+// what is dispatched.
 type dispatcher struct {
 	f *Fleet
 	// solveMemo memoizes matcher solves per (type, window composition);

@@ -21,21 +21,24 @@
 //     efficiency by member wait time (dispatch.go);
 //   - group executions run concurrently on a worker pool, one in-flight
 //     group per device, through sched.Scheduler.RunGroup — the same
-//     single-group path the offline scheduler uses (sim.go);
+//     single-group path the offline scheduler uses (loop.go);
 //   - per-job latency (wait, turnaround, deadline slack) and per-device
 //     utilization are accounted and summarized with stats.Summarize
 //     (report.go), and persist as per-job CSV artifacts (csv.go).
 //
 // # The event core and engine modes
 //
-// The event loop's three sources — arrivals, resolved completions, and
-// in-flight groups bounded from below — are indexed: min-heaps order
-// completions and completion bounds, an idle-device heap yields the
-// fastest free device in placement order, and the live queue is a
-// head-indexed priority queue with binary-search insertion (heap.go,
-// queue.go). One event costs O(log n) whatever the fleet size, which is
-// what lets the same loop serve 4 devices × 60 jobs and 64 devices ×
-// 100k jobs.
+// There is one event loop type (loop.go). An unsharded run drives a
+// single loop over the whole roster; with Config.Shards > 1 an epoch
+// coordinator drives one loop per device partition and merges their
+// results (shard.go). The loop's sources — arrivals, control events,
+// resolved completions, and in-flight groups bounded from below — are
+// indexed: min-heaps order completions and completion bounds, an
+// idle-device heap yields the fastest free device in placement order,
+// and the live queue is a head-indexed priority queue with
+// binary-search insertion (heap.go, queue.go). One event costs
+// O(log n) whatever the fleet size, which is what lets the same loop
+// serve 4 devices × 60 jobs and 64 devices × 100k jobs.
 //
 // Config.Engine selects how a dispatched group's completion is learned
 // (engine.go). Cycle simulates every group cycle-accurately — the

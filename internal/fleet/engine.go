@@ -178,8 +178,7 @@ func (d *dispatcher) missingSolo(j *job, t int) error {
 // commitModeled resolves a modeled flight at dispatch time: one
 // analytic report and one completion-heap event cover the whole group,
 // where the group's members each used to pay their own allocations.
-// The flight is born resolved — its pre-closed done channel keeps
-// eviction bookkeeping uniform with simulated flights.
+// The flight is born resolved.
 //
 //simlint:hotpath
 func (d *dispatcher) commitModeled(fl *inflight, now uint64, calib float64, resolved *flightHeap) error {
@@ -187,7 +186,6 @@ func (d *dispatcher) commitModeled(fl *inflight, now uint64, calib float64, reso
 		return err
 	}
 	fl.modeled = true
-	fl.done = closedDone
 	fl.state = flightResolved
 	fl.complete = now + d.f.flightCycles(fl)
 	fl.earliest = fl.complete

@@ -76,8 +76,8 @@ type Config struct {
 	// loops, each running on its own goroutine with its own clock,
 	// queue and completion heap, coupled only through the arrival
 	// router's epoch barrier (see shard.go). 0 or 1 — the default —
-	// runs the single classic loop, byte-identical to previous
-	// releases. The determinism contract holds at every count: a given
+	// runs one event loop over the whole roster with no router. The
+	// determinism contract holds at every count: a given
 	// seed and shard count always reproduce byte-identical summaries
 	// and time series, however the host schedules the shard
 	// goroutines. Counts above 1 partition the backlog, so the
@@ -105,12 +105,6 @@ type Config struct {
 	// mid-run, from an explicit trace or an MTBF/MTTR generator (see
 	// ChaosConfig, chaos.go).
 	Chaos ChaosConfig
-
-	// forceSpec makes the event loop pre-simulate likely next groups
-	// even on a single-CPU host, where speculation otherwise only burns
-	// cycles. Tests use it to exercise the speculative path; results
-	// are identical either way.
-	forceSpec bool
 }
 
 // The adaptive window's operating range: windowFor sizes the window

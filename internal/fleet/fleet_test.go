@@ -278,31 +278,6 @@ func TestLowerBoundCyclesSound(t *testing.T) {
 	}
 }
 
-// TestFleetSpeculationDoesNotChangeResults runs the same stream with
-// and without speculative pre-simulation (forced on, since the test
-// host may have one CPU): summaries must be byte-identical — the memo
-// is keyed by group content and simulations are pure, so speculation
-// can only move work in time.
-func TestFleetSpeculationDoesNotChangeResults(t *testing.T) {
-	p := testPipeline(t)
-	arr := testArrivals(t, 16, 3)
-	var summaries []string
-	for _, spec := range []bool{false, true} {
-		f, err := New(Config{Devices: homo(p, 3), NC: 2, Policy: sched.ILP, forceSpec: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := f.Run(arr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		summaries = append(summaries, res.Summary())
-	}
-	if summaries[0] != summaries[1] {
-		t.Fatalf("speculation changed results:\n--- off ---\n%s--- on ---\n%s", summaries[0], summaries[1])
-	}
-}
-
 func TestFleetSeedChangesArrivals(t *testing.T) {
 	a1 := testArrivals(t, 16, 1)
 	a2 := testArrivals(t, 16, 2)

@@ -110,22 +110,48 @@ type Result struct {
 	// Devices is the total device count across the roster.
 	Devices int
 	NC      int
-	// Shards is how many parallel event loops produced the result (0 or
-	// 1 = the classic single loop). Counts above 1 partition the
-	// backlog, so the accounting is that of a K-way-split fleet;
-	// repeat runs at the same count are byte-identical.
+	// Shards is how many parallel event loops produced the result (0 for
+	// an unsharded run). Counts above 1 partition the backlog, so the
+	// accounting is that of a K-way-split fleet; repeat runs at the same
+	// count are byte-identical.
 	Shards int
 	// Jobs holds every job in arrival order.
 	Jobs []JobRecord
 	// Makespan is when the last device went idle.
 	Makespan uint64
-	// ThreadInstructions sums retired instructions across the fleet.
-	ThreadInstructions uint64
 	// DeviceBusy is per-device busy cycles.
 	DeviceBusy []uint64
 	// DeviceConfig is each device's configuration name, indexed like
 	// DeviceBusy (heterogeneous rosters mix names).
 	DeviceConfig []string
+	// ModelDelta is the Hybrid engine's fidelity measure: the mean
+	// absolute relative error between the raw model's and the
+	// simulation's per-member completion cycles over the calibration
+	// runs (0 outside Hybrid or before any calibration resolved).
+	ModelDelta float64
+	// Evictions records every preemption in event order.
+	Evictions []EvictionRecord
+	// Series is the per-interval time series sampled during the run,
+	// present exactly when Config.SampleEvery > 0 (see internal/obs for
+	// the column layout and renderings). Like the summary, it is
+	// deterministic: same seed and configuration, byte-identical series.
+	Series *obs.Series
+	// Closed, Admission, Autoscale and Chaos record which control
+	// surfaces the run had enabled; the control counters are only
+	// meaningful (and only rendered) when one of them is set.
+	Closed    bool
+	Admission bool
+	Autoscale bool
+	Chaos     bool
+	Counters
+}
+
+// Counters are a run's summable event counts. Every event loop keeps
+// its own, and a sharded run adds them up (add), so a counter declared
+// here can never be left out of the merge.
+type Counters struct {
+	// ThreadInstructions sums retired instructions across the fleet.
+	ThreadInstructions uint64
 	// Groups counts completed dispatches; GreedyGroups/ILPGroups split
 	// them by how the group was formed. Preempted dispatches are not
 	// counted here — they appear in Evictions.
@@ -140,25 +166,6 @@ type Result struct {
 	// group is a ModeledGroup; Hybrid mixes.
 	CycleGroups   int
 	ModeledGroups int
-	// ModelDelta is the Hybrid engine's fidelity measure: the mean
-	// absolute relative error between the raw model's and the
-	// simulation's per-member completion cycles over the calibration
-	// runs (0 outside Hybrid or before any calibration resolved).
-	ModelDelta float64
-	// Evictions records every preemption in event order.
-	Evictions []EvictionRecord
-	// Series is the per-interval time series sampled during the run,
-	// present exactly when Config.SampleEvery > 0 (see internal/obs for
-	// the column layout and renderings). Like the summary, it is
-	// deterministic: same seed and configuration, byte-identical series.
-	Series *obs.Series
-	// Closed, Admission, Autoscale and Chaos record which control
-	// surfaces the run had enabled; the control counters below are only
-	// meaningful (and only rendered) when one of them is set.
-	Closed    bool
-	Admission bool
-	Autoscale bool
-	Chaos     bool
 	// Submitted counts submissions (closed-loop attempts include
 	// retries); Rejected, Degraded and Abandoned are admission and
 	// timeout outcomes per attempt; Retried counts resubmissions.
@@ -179,6 +186,28 @@ type Result struct {
 	Drains         int
 	Restores       int
 	ChaosEvictions int
+}
+
+// add sums o into c, field by field.
+func (c *Counters) add(o Counters) {
+	c.ThreadInstructions += o.ThreadInstructions
+	c.Groups += o.Groups
+	c.GreedyGroups += o.GreedyGroups
+	c.ILPGroups += o.ILPGroups
+	c.SMMoves += o.SMMoves
+	c.CycleGroups += o.CycleGroups
+	c.ModeledGroups += o.ModeledGroups
+	c.Submitted += o.Submitted
+	c.Rejected += o.Rejected
+	c.Degraded += o.Degraded
+	c.Abandoned += o.Abandoned
+	c.Retried += o.Retried
+	c.Provisions += o.Provisions
+	c.Decommissions += o.Decommissions
+	c.Failures += o.Failures
+	c.Drains += o.Drains
+	c.Restores += o.Restores
+	c.ChaosEvictions += o.ChaosEvictions
 }
 
 // CompletedJobs counts jobs that ran to completion.

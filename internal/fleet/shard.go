@@ -1,20 +1,19 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
 )
 
-// The sharded event core. With Config.Shards = K > 1 the roster is
+// The shard coordinator. With Config.Shards = K > 1 the roster is
 // partitioned into K fixed device sets, each owned by an independent
-// event loop — its own clock, queue, dispatcher scratch, completion
-// heap and sampler — running on its own goroutine. Shards couple only
+// event loop (loop.go) running on its own goroutine. Shards couple only
 // through the arrival router, so the loops need no locks and no shared
-// mutable state: everything a shard touches is either its own or
-// read-only on the Fleet.
+// mutable state: everything a loop touches is either its own or
+// read-only on the Fleet. With Shards <= 1, Run drives a single loop
+// with no coordinator at all.
 //
 // Determinism is preserved by construction, not by luck:
 //
@@ -25,18 +24,14 @@ import (
 //     already-routed arrivals. Arrivals are then assigned one at a
 //     time to the least-loaded shard (ties to the lowest shard id) —
 //     a pure function of deterministic state.
-//   - inside an epoch each shard is the classic single-threaded DES
-//     over its own devices; goroutine scheduling cannot reorder its
-//     events because no other goroutine shares its state.
-//   - the merge is order-fixed: per-device accounting lands at global
-//     device indices, counters sum, eviction records sort by their
-//     (cycle, device) total order, job records are emitted in global
-//     arrival order, and time-series rows merge row-by-row on the
-//     shared interval grid (mergeShardSeries).
-//
-// One shard degenerates to the classic loop, which is why Run only
-// branches here for Shards > 1 — shards=1 output stays byte-identical
-// to previous releases by running the previous code.
+//   - inside an epoch each shard is a single-threaded DES over its own
+//     devices; goroutine scheduling cannot reorder its events because
+//     no other goroutine shares its state.
+//   - the merge is order-fixed: every loop accounts by global device
+//     id, counters sum, eviction records sort by their (cycle, device)
+//     total order, job records are emitted in global arrival order, and
+//     time-series rows sum column by column on the shared interval grid
+//     (mergeShardSeries).
 
 // DefaultShardEpoch is the router's synchronization quantum (fleet
 // cycles) when Config.ShardEpoch is unset. Small epochs track load
@@ -44,298 +39,17 @@ import (
 // on realistic workloads.
 const DefaultShardEpoch = 1 << 16
 
-// shard is one partition's event loop state.
-type shard struct {
-	f  *Fleet
-	id int
-	// devices are the global device indices this shard owns, ascending;
-	// slot inverts the mapping (global index -> local slot, -1 when the
-	// device belongs to another shard).
-	devices []int
-	slot    []int
-	// The classic loop's per-run state, one copy per shard. flightOf is
-	// indexed by local slot; the queue, heap and dispatcher are private.
-	flightOf []*inflight
-	queue    jobQueue
-	resolved flightHeap
-	idleDevs deviceHeap
-	disp     *dispatcher
-	col      *sampler
-	now      uint64
-	seq      int
-	// arr is the shard's routed arrival stream (global arrival order is
-	// preserved within a shard); the coordinator appends between epochs,
-	// while the shard goroutine is parked at the barrier.
-	arr     []*job
-	nextArr int
-	// ctl is the shard's control block (nil without control surfaces);
-	// remaining counts the shard's unsettled jobs — routed or client-
-	// owned submissions not yet completed, rejected or abandoned.
-	ctl       *loopCtl
-	remaining int
-	// res accumulates the shard's share of the accounting. DeviceBusy is
-	// global-sized so retire and evict index it by global device id.
-	res Result
-	err error
-}
-
-// newShards partitions the roster. Devices are dealt round-robin over
-// the placement order, so every shard gets an equal slice of each
-// speed tier and the fastest-idle-first dispatch rule keeps meaning
-// the same thing inside a shard as it did globally.
-func (f *Fleet) newShards() []*shard {
-	k := f.cfg.Shards
-	total := len(f.devType)
-	shards := make([]*shard, k)
-	for s := range shards {
-		shards[s] = &shard{
-			f:        f,
-			id:       s,
-			queue:    jobQueue{slo: f.cfg.SLO.Enabled},
-			resolved: flightHeap{live: flightResolved, less: completionLess},
-			idleDevs: deviceHeap{pos: f.orderPos},
-			disp:     f.newDispatcher(),
-		}
-	}
-	for i, d := range f.order {
-		s := shards[i%k]
-		s.devices = append(s.devices, d)
-	}
-	ctlOn := f.ctlEnabled()
-	// The chaos schedule is resolved once, globally; each shard's ctl
-	// keeps only the events for devices it owns (initChaos drops foreign
-	// ones via the slot map), so every schedule event executes exactly
-	// once regardless of the shard count.
-	var chaosEvents []ChaosEvent
-	if f.cfg.Chaos.Enabled {
-		chaosEvents = f.resolveChaos()
-	}
-	for _, s := range shards {
-		// Ascending global index keeps the sampler's local device columns
-		// (and the busy accounting) in global order within the shard.
-		sort.Ints(s.devices)
-		s.slot = make([]int, total)
-		for i := range s.slot {
-			s.slot[i] = -1
-		}
-		for i, d := range s.devices {
-			s.slot[d] = i
-		}
-		s.flightOf = make([]*inflight, len(s.devices))
-		s.res.DeviceBusy = make([]uint64, total)
-		if ctlOn {
-			// The shard's devices in placement order, and its round-robin
-			// share of the autoscale bounds (splitBound matches the deal
-			// above, so per-shard bounds sum to the global ones).
-			pdevs := append([]int(nil), s.devices...)
-			sort.SliceStable(pdevs, func(a, b int) bool {
-				return f.orderPos[pdevs[a]] < f.orderPos[pdevs[b]]
-			})
-			minD, maxD := len(pdevs), len(pdevs)
-			if f.cfg.Autoscale.Enabled {
-				minD = splitBound(f.cfg.Autoscale.Min, k, s.id)
-				maxD = splitBound(f.cfg.Autoscale.Max, k, s.id)
-			}
-			s.ctl = f.newLoopCtl(&s.res, &s.queue, &s.idleDevs, s.flightOf,
-				s.slot, &s.remaining, pdevs, minD, maxD)
-			if chaosEvents != nil {
-				s.ctl.initChaos(chaosEvents)
-				// Shards are modeled-only, so a failed flight needs no
-				// worker bookkeeping — only its busy time on the shard's
-				// local sampler column (the closure reads s.col at fire
-				// time, after it is built below).
-				s.ctl.onChaosEvict = func(fl *inflight, at uint64) {
-					if s.col != nil {
-						s.col.addBusy(s.slot[fl.device], fl.dispatch, at)
-					}
-				}
-			}
-		}
-		for _, d := range s.devices {
-			if s.ctl == nil || s.ctl.active[d] {
-				s.idleDevs.push(d)
-			}
-		}
-		if f.cfg.SampleEvery > 0 {
-			s.col = newSampler(f.cfg.SampleEvery, len(s.devices), ctlOn, f.cfg.Chaos.Enabled)
-			s.col.ctl = s.ctl
-		}
-	}
-	return shards
-}
-
-// completionLess is the resolved-heap order (completion cycle, then
-// device), shared with the classic loop's heap.
-func completionLess(a, b *inflight) bool {
-	return a.complete < b.complete || (a.complete == b.complete && a.device < b.device)
-}
-
-// load is the shard's routing weight at an epoch barrier: jobs waiting
-// or assigned plus jobs in flight. Pure function of the shard's settled
+// load is the loop's routing weight at an epoch barrier: jobs waiting
+// or assigned plus jobs in flight. Pure function of the loop's settled
 // state, so the router's least-loaded choice is deterministic.
-func (s *shard) load() int {
-	n := s.queue.Len() + (len(s.arr) - s.nextArr)
-	for _, fl := range s.flightOf {
+func (l *loop) load() int {
+	n := l.queue.Len() + (len(l.arr) - l.nextArr)
+	for _, fl := range l.flightOf {
 		if fl != nil {
 			n += len(fl.jobs)
 		}
 	}
 	return n
-}
-
-// runUntil advances the shard's event loop through every event strictly
-// before limit, then parks the clock at the barrier. It is the classic
-// loop specialized to the modeled engine: flights are born resolved, so
-// there is no worker pool, no speculation and no unresolved heap. With
-// limit = MaxUint64 it drains the shard completely.
-//
-//simlint:hotpath
-func (s *shard) runUntil(limit uint64) {
-	if s.err != nil {
-		return
-	}
-	f := s.f
-	const inf = math.MaxUint64
-	for {
-		// Admit arrivals due by now (priority order when SLO-aware);
-		// admission control may reject or degrade a submission first.
-		for s.nextArr < len(s.arr) && s.arr[s.nextArr].arrival <= s.now {
-			j := s.arr[s.nextArr]
-			s.nextArr++
-			if s.ctl != nil && !s.ctl.admitOpen(j, s.now) {
-				continue
-			}
-			s.queue.insert(j)
-		}
-		// Dispatch to idle devices while work is waiting, fastest first.
-		for s.queue.Len() > 0 {
-			d := s.idleDevs.pop()
-			if d < 0 {
-				break
-			}
-			t := f.devType[d]
-			fl := s.disp.newFlight()
-			members, usedILP := s.disp.formGroup(fl.jobs[:0], &s.queue, t, s.now)
-			for _, m := range members {
-				m.state = jsRunning
-			}
-			fl.device = d
-			fl.typ = t
-			fl.dispatch = s.now
-			fl.seq = s.seq
-			fl.jobs = members
-			fl.ilp = usedILP
-			s.seq++
-			if err := s.disp.commitModeled(fl, s.now, 1, &s.resolved); err != nil {
-				s.err = err
-				return
-			}
-			s.flightOf[s.slot[d]] = fl
-		}
-		// Preemption, exactly as in the classic loop but over this
-		// shard's flights only (a latency job can only be rescued by a
-		// device its shard owns — the router decided its shard).
-		if f.cfg.SLO.Preempt && s.queue.Len() > 0 && s.queue.at(0).slo == Latency {
-			if victim := f.preemptVictim(s.queue.at(0), s.flightOf, s.ctl, s.now); victim != nil {
-				f.evict(victim, s.queue.at(0), s.now, &s.res)
-				if s.col != nil {
-					// The aborted attempt's device time is real busy time.
-					s.col.addBusy(s.slot[victim.device], victim.dispatch, s.now)
-				}
-				victim.state = flightEvicted
-				s.flightOf[s.slot[victim.device]] = nil
-				s.idleDevs.push(victim.device)
-				for _, j := range victim.jobs {
-					s.queue.insert(j)
-				}
-				continue
-			}
-		}
-		// Pick the provably-earliest next event; arrivals win ties, then
-		// control events (submissions, timeouts, scaling), then
-		// completions.
-		tArr := uint64(inf)
-		if s.nextArr < len(s.arr) {
-			tArr = s.arr[s.nextArr].arrival
-		}
-		tCtl := uint64(inf)
-		if s.ctl != nil {
-			tCtl = s.ctl.next()
-		}
-		cBest := s.resolved.peek()
-		cTime := uint64(inf)
-		if cBest != nil {
-			cTime = cBest.complete
-		}
-		next := tArr
-		if tCtl < next {
-			next = tCtl
-		}
-		if cTime < next {
-			next = cTime
-		}
-		if next >= limit {
-			if limit == inf && s.remaining > 0 && s.ctl != nil {
-				s.stall()
-				return
-			}
-			// Park at the barrier. Between the last processed event and
-			// the barrier the shard's state is constant, so sampler edges
-			// in that span emit identically on the next advance.
-			if limit != inf && s.now < limit {
-				s.now = limit
-			}
-			return
-		}
-		if tArr <= tCtl && tArr <= cTime {
-			if s.col != nil {
-				s.col.advanceTo(tArr, &s.queue, s.flightOf, &s.res)
-			}
-			s.now = tArr
-			continue
-		}
-		if tCtl <= cTime {
-			if s.col != nil {
-				s.col.advanceTo(tCtl, &s.queue, s.flightOf, &s.res)
-			}
-			s.now = tCtl
-			s.ctl.step(s.now)
-			continue
-		}
-		if s.col != nil {
-			s.col.advanceTo(cTime, &s.queue, s.flightOf, &s.res)
-		}
-		s.now = cTime
-		s.resolved.pop()
-		cBest.state = flightRetired
-		f.retire(cBest, &s.res)
-		if s.col != nil {
-			s.col.noteRetire(cBest)
-			s.col.addBusy(s.slot[cBest.device], cBest.dispatch, cBest.complete)
-		}
-		s.remaining -= len(cBest.jobs)
-		s.flightOf[s.slot[cBest.device]] = nil
-		if s.ctl == nil || s.ctl.deviceUp(cBest.device) {
-			// A draining device's last flight retires it out of placement
-			// order; a restore pushes it back.
-			s.idleDevs.push(cBest.device)
-		}
-		if s.ctl != nil {
-			s.ctl.onRetire(cBest, s.now)
-		}
-		s.disp.recycle(cBest)
-	}
-}
-
-// stall records the permanently-stalled-shard error: the final drain
-// found no future event while jobs remain, which only chaos can cause
-// (every owned device failed or draining with no restore scheduled) —
-// fail loudly instead of parking forever and merging a silent
-// shortfall. Split out of runUntil to keep the hot path free of
-// formatting state.
-func (s *shard) stall() {
-	s.err = fmt.Errorf("fleet: shard %d stalled with %d jobs outstanding (%d devices failed, %d draining, and no restore scheduled)",
-		s.id, s.remaining, s.ctl.failedCount, s.ctl.drainingCount)
 }
 
 // runSharded is the coordinator: it routes arrivals epoch by epoch and
@@ -344,7 +58,11 @@ func (s *shard) stall() {
 // outside them, so the two sides never race; the WaitGroup barrier
 // also orders memory between coordinator and shards.
 func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
-	shards := f.newShards()
+	chaos := f.resolveChaos()
+	shards := make([]*loop, f.cfg.Shards)
+	for i := range shards {
+		shards[i] = f.newLoop(i, perClient, chaos)
+	}
 	epoch := f.cfg.ShardEpoch
 	if epoch == 0 {
 		epoch = DefaultShardEpoch
@@ -365,7 +83,7 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
 			var wg sync.WaitGroup
 			for _, s := range shards {
 				wg.Add(1)
-				go func(s *shard) {
+				go func(s *loop) {
 					defer wg.Done()
 					s.runUntil(limit)
 				}(s)
@@ -381,36 +99,24 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
 		}
 		return nil
 	}
+	// Open-loop arrivals are routed. Closed-loop jobs are not: newLoop
+	// dealt the clients round-robin across shards — a pure function of
+	// the client id, so the assignment (and every per-client draw) is
+	// identical at any host — and submissions are born inside the owning
+	// shard, so the shards run fully independently with no epoch barrier
+	// to synchronize on (the autoscaler still reconciles on its own
+	// epoch grid within each shard).
+	routed := jobs
 	if f.cfg.Closed.Enabled {
-		// Closed-loop: clients are partitioned round-robin across shards
-		// up front — a pure function of the client id, so the assignment
-		// (and every per-client draw) is identical at any host. Shards
-		// then run fully independently: submissions are born inside the
-		// owning shard, so there is no arrival routing and no epoch
-		// barrier to synchronize on (the autoscaler still reconciles on
-		// its own epoch grid within each shard).
-		k := len(shards)
-		ids := make([][]int, k)
-		for c := range perClient {
-			s := shards[c%k]
-			ids[c%k] = append(ids[c%k], c)
-			s.remaining += len(perClient[c])
-		}
-		for i, s := range shards {
-			s.ctl.initClients(perClient, ids[i])
-		}
-		if err := runAll(inf); err != nil {
-			return Result{}, err
-		}
-		return f.mergeShards(shards, jobs)
+		routed = nil
 	}
 	loads := make([]int, len(shards))
 	t := uint64(0)
-	for next := 0; next < len(jobs); {
+	for next := 0; next < len(routed); {
 		// Settle every shard at the start of the epoch holding the next
 		// unrouted arrival, then route that epoch's arrivals against the
 		// settled loads.
-		at := jobs[next].arrival
+		at := routed[next].arrival
 		es := at - at%epoch
 		if es < t {
 			es = t
@@ -425,14 +131,14 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
 		for i, s := range shards {
 			loads[i] = s.load()
 		}
-		for ; next < len(jobs) && jobs[next].arrival < ee; next++ {
+		for ; next < len(routed) && routed[next].arrival < ee; next++ {
 			best := 0
 			for i := 1; i < len(shards); i++ {
 				if loads[i] < loads[best] {
 					best = i
 				}
 			}
-			shards[best].arr = append(shards[best].arr, jobs[next])
+			shards[best].arr = append(shards[best].arr, routed[next])
 			shards[best].remaining++
 			loads[best]++
 		}
@@ -448,50 +154,16 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
 }
 
 // mergeShards folds the drained shards into one Result, identical in
-// shape to the classic loop's.
-func (f *Fleet) mergeShards(shards []*shard, jobs []*job) (Result, error) {
-	devices := len(f.devType)
-	res := Result{
-		Policy:     f.cfg.Policy,
-		Engine:     f.cfg.Engine,
-		Roster:     f.cfg.RosterString(),
-		Devices:    devices,
-		NC:         f.cfg.NC,
-		Shards:     f.cfg.Shards,
-		Closed:     f.cfg.Closed.Enabled,
-		Admission:  f.cfg.Admission.Enabled,
-		Autoscale:  f.cfg.Autoscale.Enabled,
-		Chaos:      f.cfg.Chaos.Enabled,
-		DeviceBusy: make([]uint64, devices),
-	}
-	for d := range f.devType {
-		res.DeviceConfig = append(res.DeviceConfig, f.deviceName(d))
-	}
+// shape to a lone loop's.
+func (f *Fleet) mergeShards(shards []*loop, jobs []*job) (Result, error) {
+	res := f.newResult()
+	res.Shards = f.cfg.Shards
 	for _, s := range shards {
 		for d, busy := range s.res.DeviceBusy {
 			res.DeviceBusy[d] += busy
 		}
-		if s.res.Makespan > res.Makespan {
-			res.Makespan = s.res.Makespan
-		}
-		res.ThreadInstructions += s.res.ThreadInstructions
-		res.Groups += s.res.Groups
-		res.ILPGroups += s.res.ILPGroups
-		res.GreedyGroups += s.res.GreedyGroups
-		res.ModeledGroups += s.res.ModeledGroups
-		res.CycleGroups += s.res.CycleGroups
-		res.SMMoves += s.res.SMMoves
-		res.Submitted += s.res.Submitted
-		res.Rejected += s.res.Rejected
-		res.Degraded += s.res.Degraded
-		res.Abandoned += s.res.Abandoned
-		res.Retried += s.res.Retried
-		res.Provisions += s.res.Provisions
-		res.Decommissions += s.res.Decommissions
-		res.Failures += s.res.Failures
-		res.Drains += s.res.Drains
-		res.Restores += s.res.Restores
-		res.ChaosEvictions += s.res.ChaosEvictions
+		res.Makespan = max(res.Makespan, s.res.Makespan)
+		res.Counters.add(s.res.Counters)
 		res.Evictions = append(res.Evictions, s.res.Evictions...)
 	}
 	// Within a shard eviction records are in event order, and one device
@@ -511,8 +183,6 @@ func (f *Fleet) mergeShards(shards []*shard, jobs []*job) (Result, error) {
 		}
 		res.Series = series
 	}
-	for _, j := range jobs {
-		res.Jobs = append(res.Jobs, f.jobRecord(j))
-	}
+	res.Jobs = f.jobRecords(jobs)
 	return res, nil
 }

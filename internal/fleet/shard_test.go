@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardsOneMatchesGoldens pins shards=1 to the classic loop: an
+// TestShardsOneMatchesGoldens pins shards=1 to the unsharded run: an
 // explicit Shards: 1 must reproduce the existing Cycle-engine goldens
 // byte for byte (it takes the identical code path, and validation must
 // accept the shard count under every engine).
@@ -178,5 +179,37 @@ func TestShardValidation(t *testing.T) {
 	}
 	if got := f.Config().ShardEpoch; got != DefaultShardEpoch {
 		t.Errorf("ShardEpoch defaulted to %d, want %d", got, DefaultShardEpoch)
+	}
+}
+
+// TestCountersAddSumsEveryField gives every Counters field a distinct
+// value and checks that add sums each one, so a counter added later
+// cannot be left out of the shard merge.
+func TestCountersAddSumsEveryField(t *testing.T) {
+	var a, b Counters
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		switch va.Field(i).Kind() {
+		case reflect.Int:
+			va.Field(i).SetInt(int64(i + 1))
+			vb.Field(i).SetInt(int64(100 * (i + 1)))
+		case reflect.Uint64:
+			va.Field(i).SetUint(uint64(i + 1))
+			vb.Field(i).SetUint(uint64(100 * (i + 1)))
+		default:
+			t.Fatalf("Counters.%s has kind %v; add only sums integers", va.Type().Field(i).Name, va.Field(i).Kind())
+		}
+	}
+	a.add(b)
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Field(i)
+		got := f.Interface()
+		var want any = 101 * (i + 1)
+		if f.Kind() == reflect.Uint64 {
+			want = uint64(101 * (i + 1))
+		}
+		if got != want {
+			t.Errorf("Counters.%s = %v after add, want %v", va.Type().Field(i).Name, got, want)
+		}
 	}
 }

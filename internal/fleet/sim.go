@@ -3,8 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/classify"
 	"repro/internal/match"
@@ -103,7 +101,7 @@ func (f *Fleet) effectiveCycles(j *job, end uint64) uint64 {
 // the result (rep) is computed on a worker goroutine and the event loop
 // learns the completion by waiting on done — but only when it has to,
 // thanks to the earliest lower bound below. Modeled flights are born
-// resolved: rep is the analytic prediction and done is already closed.
+// resolved: rep is the analytic prediction and done is never used.
 type inflight struct {
 	device   int
 	typ      int
@@ -136,14 +134,6 @@ type inflight struct {
 	err      error
 	complete uint64
 }
-
-// closedDone is the pre-closed completion channel modeled flights
-// carry, so eviction bookkeeping can wait on any flight uniformly.
-var closedDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // lowerBoundCycles bounds a group's makespan on device type t from
 // below without simulating. Two sound bounds, take the tighter:
@@ -190,14 +180,9 @@ func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
 }
 
 // Run executes the arrival stream on the fleet and returns the per-job
-// and per-device accounting. The loop is a discrete-event simulation
-// over three event sources — job arrivals (known in advance), resolved
-// group completions, and unresolved in-flight groups (whose completion
-// is bounded below) — and always processes the provably-earliest event,
-// so the outcome is independent of worker timing. All three sources are
-// indexed (completion and bound min-heaps, an idle-device heap in
-// placement order, a head-indexed priority queue), so one event costs
-// O(log n) instead of a scan over every flight and device.
+// and per-device accounting. An unsharded run drives one event loop
+// over the whole roster to completion (loop.go); Shards > 1 hands the
+// jobs to the epoch coordinator of shard.go.
 func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 	closed := f.cfg.Closed.Enabled
 	if closed && len(arrivals) > 0 {
@@ -220,385 +205,65 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 		return Result{}, err
 	}
 	if f.cfg.Shards > 1 {
-		// The sharded path partitions the roster into independent event
-		// loops (shard.go); one shard is exactly the classic loop below.
 		return f.runSharded(jobs, perClient)
 	}
+	l := f.newLoop(0, perClient, f.resolveChaos())
+	if !closed {
+		l.arr, l.remaining = jobs, len(jobs)
+	}
+	l.runUntil(math.MaxUint64)
+	l.wait()
+	if l.err != nil {
+		return Result{}, l.err
+	}
+	res := &l.res
+	if l.col != nil {
+		res.Series = l.col.finish(res.Makespan, &l.queue, l.flightOf, res)
+	}
+	samples, delta := 0, 0.0
+	for _, cal := range l.hybrid {
+		samples += cal.n
+		delta += cal.delta
+	}
+	if samples > 0 {
+		res.ModelDelta = delta / float64(samples)
+	}
+	res.Jobs = f.jobRecords(jobs)
+	return *res, nil
+}
 
-	devices := len(f.devType)
+// newResult is an empty Result carrying the run's configuration header
+// and a zeroed busy table per device.
+func (f *Fleet) newResult() Result {
 	res := Result{
 		Policy:     f.cfg.Policy,
 		Engine:     f.cfg.Engine,
 		Roster:     f.cfg.RosterString(),
-		Devices:    devices,
+		Devices:    len(f.devType),
 		NC:         f.cfg.NC,
-		Closed:     closed,
+		Closed:     f.cfg.Closed.Enabled,
 		Admission:  f.cfg.Admission.Enabled,
 		Autoscale:  f.cfg.Autoscale.Enabled,
 		Chaos:      f.cfg.Chaos.Enabled,
-		DeviceBusy: make([]uint64, devices),
+		DeviceBusy: make([]uint64, len(f.devType)),
 	}
 	for d := range f.devType {
 		res.DeviceConfig = append(res.DeviceConfig, f.deviceName(d))
 	}
-	// idle mirrors "no flight in progress" for the speculation pass; the
-	// heap itself hands the dispatch pass the fastest idle device.
-	idle := make([]bool, devices)
-	for d := range idle {
-		idle[d] = true
-	}
-	idleDevs := deviceHeap{pos: f.orderPos}
-	// The pool holds one slot per device for the in-flight groups plus
-	// as many again for speculative pre-simulation, capped by the host.
-	// The Modeled engine never simulates, so it skips the pool.
-	var sem chan struct{}
-	if f.cfg.Engine != Modeled {
-		workers := 2 * devices
-		if n := runtime.NumCPU(); workers > n {
-			workers = n
-		}
-		if workers < 2 {
-			workers = 2
-		}
-		sem = make(chan struct{}, workers)
-	}
-	var specWG sync.WaitGroup
-	defer specWG.Wait()
-	speculated := make(map[string]bool)
-	disp := f.newDispatcher()
+	return res
+}
 
-	const inf = math.MaxUint64
-	var (
-		// flightOf indexes the live flight by device (one per device);
-		// resolved/unresolved order them by completion and by earliest
-		// bound. Flights leave the heaps lazily via their state.
-		flightOf   = make([]*inflight, devices)
-		resolved   = flightHeap{live: flightResolved, less: completionLess}
-		unresolved = flightHeap{live: flightPending, less: func(a, b *inflight) bool {
-			return a.earliest < b.earliest || (a.earliest == b.earliest && a.seq < b.seq)
-		}}
-		queue     = jobQueue{slo: f.cfg.SLO.Enabled}
-		now       uint64
-		nextArr   int
-		seq       int
-		remaining = len(jobs)
-		hybrid    map[string]*hybridCal
-		// abandoned holds evicted flights whose simulations are still
-		// running; their results are discarded, but Run must not return
-		// (and tests must not race) while their workers live.
-		abandoned []*inflight
-	)
-	if f.cfg.Engine == Hybrid {
-		hybrid = make(map[string]*hybridCal)
+// jobRecords projects every job, in arrival order, onto its record.
+func (f *Fleet) jobRecords(jobs []*job) []JobRecord {
+	recs := make([]JobRecord, len(jobs))
+	for i, j := range jobs {
+		recs[i] = f.jobRecord(j)
 	}
-	// arr is the open-loop admission stream; closed-loop submissions
-	// arrive through the control-event heap instead.
-	arr := jobs
-	if closed {
-		arr = nil
-	}
-	// The control block; nil when no control surface is configured, so
-	// the hot loop pays one pointer check per event.
-	var ctl *loopCtl
-	if f.ctlEnabled() {
-		ctl = f.newLoopCtl(&res, &queue, &idleDevs, flightOf, nil, &remaining,
-			f.order, f.cfg.Autoscale.Min, f.cfg.Autoscale.Max)
-		// Chaos events enter the heap first, so at equal cycles a failure
-		// fires before that cycle's client submissions and timers (lower
-		// push seq) — a submission never races onto a device the same
-		// cycle kills.
-		if f.cfg.Chaos.Enabled {
-			ctl.initChaos(f.resolveChaos())
-		}
-		if closed {
-			ids := make([]int, f.cfg.Closed.Clients)
-			for i := range ids {
-				ids[i] = i
-			}
-			ctl.initClients(perClient, ids)
-		}
-	}
-	// Seed the idle heap with the initially-active devices (all of them,
-	// unless the autoscaler starts the roster at its floor).
-	for d := range f.devType {
-		if ctl == nil || ctl.active[d] {
-			idleDevs.push(d)
-		}
-	}
-	// The observability sampler; nil when sampling is off, so the hot
-	// loop pays exactly one pointer check per time advance.
-	var col *sampler
-	if f.cfg.SampleEvery > 0 {
-		col = newSampler(f.cfg.SampleEvery, devices, ctl != nil, f.cfg.Chaos.Enabled)
-		col.ctl = ctl
-	}
-	if ctl != nil {
-		// Failure evictions need the same side bookkeeping the
-		// preemption block below does: the aborted attempt's device time
-		// is busy time, a Hybrid warm-up refunds its calibration slot,
-		// and a Cycle-engine worker must be waited out before Run
-		// returns. The freed device stays out of the idle heap —
-		// chaosFail owns that.
-		ctl.onChaosEvict = func(fl *inflight, at uint64) {
-			if col != nil {
-				col.addBusy(fl.device, fl.dispatch, at)
-			}
-			if fl.calKey != "" {
-				hybrid[fl.calKey].started--
-				fl.calKey = ""
-			}
-			idle[fl.device] = true
-			abandoned = append(abandoned, fl)
-		}
-	}
-	defer func() {
-		for _, fl := range abandoned {
-			<-fl.done
-		}
-	}()
-	for remaining > 0 {
-		// Admit arrivals due by now (priority order when SLO-aware);
-		// admission control may reject or degrade a submission first.
-		for nextArr < len(arr) && arr[nextArr].arrival <= now {
-			j := arr[nextArr]
-			nextArr++
-			if ctl != nil && !ctl.admitOpen(j, now) {
-				continue
-			}
-			queue.insert(j)
-		}
-		// Dispatch to idle devices while work is waiting, fastest device
-		// first: group formation is placement-aware, scoring candidates
-		// with the chosen device type's interference matrix.
-		for queue.Len() > 0 {
-			d := idleDevs.pop()
-			if d < 0 {
-				break
-			}
-			t := f.devType[d]
-			fl := disp.newFlight()
-			members, usedILP := disp.formGroup(fl.jobs[:0], &queue, t, now)
-			for _, m := range members {
-				m.state = jsRunning
-			}
-			idle[d] = false
-			fl.device = d
-			fl.typ = t
-			fl.dispatch = now
-			fl.seq = seq
-			fl.jobs = members
-			fl.ilp = usedILP
-			seq++
-			useModel, calib := f.cfg.Engine == Modeled, 1.0
-			if f.cfg.Engine == Hybrid {
-				key := compositionKey(members, t)
-				cal := hybrid[key]
-				if cal == nil {
-					cal = &hybridCal{}
-					hybrid[key] = cal
-				}
-				if cal.started < f.cfg.HybridWarm {
-					cal.started++
-					fl.calKey = key
-				} else {
-					useModel, calib = true, cal.calibration()
-				}
-			}
-			if useModel {
-				// Born resolved: the model is the completion; commitModeled
-				// batches the whole group into one heap event.
-				if err := disp.commitModeled(fl, now, calib, &resolved); err != nil {
-					f.drain(flightOf)
-					return Result{}, err
-				}
-			} else {
-				fl.done = make(chan struct{})
-				fl.earliest = now + f.lowerBoundCycles(members, t)
-				unresolved.push(fl)
-				go func(fl *inflight) {
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					g := make(sched.Group, len(fl.jobs))
-					for i, m := range fl.jobs {
-						g[i] = m.apps[fl.typ]
-					}
-					fl.rep, fl.err = f.types[fl.typ].Scheduler().RunGroup(g, f.cfg.Policy)
-					close(fl.done)
-				}(fl)
-			}
-			flightOf[d] = fl
-		}
-		// A drained queue means no pending speculation guess can be
-		// dispatched next, so the dedup signatures are dead weight: reset
-		// the map rather than let a 100k-job run accumulate every
-		// historical group signature. A signature that recurs later costs
-		// one re-submitted RunGroup, which the scheduler's memo dedups.
-		if queue.Len() == 0 && len(speculated) > 0 {
-			clear(speculated)
-		}
-		// Preemption: when the head of the queue is a latency job that
-		// would miss its deadline waiting for the predicted next natural
-		// completion, clear one running all-batch group and loop back so
-		// the dispatch pass places the trigger on the freed device.
-		if f.cfg.SLO.Preempt && queue.Len() > 0 && queue.at(0).slo == Latency {
-			if victim := f.preemptVictim(queue.at(0), flightOf, ctl, now); victim != nil {
-				f.evict(victim, queue.at(0), now, &res)
-				if col != nil {
-					// The aborted attempt's device time is real busy time.
-					col.addBusy(victim.device, victim.dispatch, now)
-				}
-				if victim.calKey != "" {
-					// An evicted Hybrid warm-up never resolves, so it can
-					// never feed its composition's calibration — refund the
-					// warm-up slot so a later dispatch runs it instead of
-					// the composition silently staying uncalibrated.
-					hybrid[victim.calKey].started--
-					victim.calKey = ""
-				}
-				victim.state = flightEvicted
-				flightOf[victim.device] = nil
-				idle[victim.device] = true
-				idleDevs.push(victim.device)
-				abandoned = append(abandoned, victim)
-				for _, j := range victim.jobs {
-					queue.insert(j)
-				}
-				continue
-			}
-		}
-		// Pick the provably-earliest next event. Ties go to arrivals
-		// first (a job landing the instant a device frees still queues
-		// before the dispatch decision), then to control events
-		// (submissions, timeouts, scaling), then to the lowest device id
-		// among resolved completions (the heap key).
-		tArr := uint64(inf)
-		if nextArr < len(arr) {
-			tArr = arr[nextArr].arrival
-		}
-		tCtl := uint64(inf)
-		if ctl != nil {
-			tCtl = ctl.next()
-		}
-		cBest, uBest := resolved.peek(), unresolved.peek()
-		cTime, uTime := uint64(inf), uint64(inf)
-		if cBest != nil {
-			cTime = cBest.complete
-		}
-		if uBest != nil {
-			uTime = uBest.earliest
-		}
-		switch {
-		case tArr != inf && tArr <= tCtl && tArr <= cTime && tArr <= uTime:
-			// Sample every interval boundary the advance crosses with the
-			// pre-advance state; events at tArr itself fold into the row
-			// at (or after) tArr, emitted on a later advance.
-			if col != nil {
-				col.advanceTo(tArr, &queue, flightOf, &res)
-			}
-			now = tArr
-		case tCtl != inf && tCtl <= cTime && tCtl <= uTime:
-			if col != nil {
-				col.advanceTo(tCtl, &queue, flightOf, &res)
-			}
-			now = tCtl
-			ctl.step(now)
-		case cBest != nil && cTime <= uTime:
-			if col != nil {
-				col.advanceTo(cTime, &queue, flightOf, &res)
-			}
-			now = cTime
-			resolved.pop()
-			cBest.state = flightRetired
-			f.retire(cBest, &res)
-			if col != nil {
-				col.noteRetire(cBest)
-				col.addBusy(cBest.device, cBest.dispatch, cBest.complete)
-			}
-			remaining -= len(cBest.jobs)
-			flightOf[cBest.device] = nil
-			idle[cBest.device] = true
-			if ctl == nil || ctl.deviceUp(cBest.device) {
-				// A draining device's last flight retires it out of
-				// placement order; a restore pushes it back.
-				idleDevs.push(cBest.device)
-			}
-			if ctl != nil {
-				// Before recycle: closed-loop clients read the member
-				// references to schedule their next submissions.
-				ctl.onRetire(cBest, now)
-			}
-			if cBest.modeled {
-				// A retired modeled flight has left every heap (it was only
-				// ever in resolved, and pop removed it), so its record and
-				// buffers can serve the next dispatch.
-				disp.recycle(cBest)
-			}
-		case uBest != nil:
-			// The unresolved group with the earliest possible completion
-			// might be the next event; block until its worker reports.
-			// Every other in-flight simulation keeps running meanwhile —
-			// and so do speculative runs of the groups the still-busy
-			// devices will most likely dispatch when they free up.
-			// Group formation is a pure function of queue content and
-			// device type, so in drained-arrival phases the prediction is
-			// exact and the real dispatch later finds its simulation
-			// already done (or in flight — the scheduler dedups identical
-			// executions).
-			if runtime.NumCPU() > 1 || f.cfg.forceSpec {
-				f.speculate(disp, queue.view(), idle, now, sem, &specWG, speculated)
-			}
-			<-uBest.done
-			if uBest.err != nil {
-				f.drain(flightOf)
-				return Result{}, uBest.err
-			}
-			uBest.complete = uBest.dispatch + f.flightCycles(uBest)
-			if uBest.complete < uBest.earliest {
-				// The bound was not sound after all — fail loudly rather
-				// than silently reorder events.
-				f.drain(flightOf)
-				return Result{}, fmt.Errorf("fleet: completion %d before lower bound %d for group on device %d",
-					uBest.complete, uBest.earliest, uBest.device)
-			}
-			if uBest.calKey != "" {
-				if err := f.calibrate(hybrid[uBest.calKey], uBest); err != nil {
-					f.drain(flightOf)
-					return Result{}, err
-				}
-			}
-			uBest.state = flightResolved
-			resolved.push(uBest)
-		default:
-			if ctl != nil && ctl.failedCount+ctl.drainingCount > 0 {
-				return Result{}, fmt.Errorf("fleet: no dispatchable work with %d jobs outstanding (%d devices failed, %d draining, and no restore scheduled)",
-					remaining, ctl.failedCount, ctl.drainingCount)
-			}
-			return Result{}, fmt.Errorf("fleet: no dispatchable work with %d jobs outstanding", remaining)
-		}
-	}
-	if col != nil {
-		res.Series = col.finish(res.Makespan, &queue, flightOf, &res)
-	}
-	if hybrid != nil {
-		samples, delta := 0, 0.0
-		for _, cal := range hybrid {
-			samples += cal.n
-			delta += cal.delta
-		}
-		if samples > 0 {
-			res.ModelDelta = delta / float64(samples)
-		}
-	}
-
-	for _, j := range jobs {
-		res.Jobs = append(res.Jobs, f.jobRecord(j))
-	}
-	return res, nil
+	return recs
 }
 
 // jobRecord projects one job's final state onto its record — the one
-// place outcome, device and class are decided, shared by the classic
-// and sharded paths so the two can never disagree.
+// place outcome, device and class are decided.
 func (f *Fleet) jobRecord(j *job) JobRecord {
 	rec := JobRecord{
 		ID:        j.id,
@@ -784,12 +449,15 @@ func (f *Fleet) coRunCycles(j *job, t int) (uint64, bool) {
 // evictions forced by a device failure rather than a latency job.
 const chaosTriggerID = -1
 
-// evict aborts fl at cycle now: its jobs re-enter the queue with
-// checkpointed progress and the device frees immediately. Under the
-// Cycle engine the group's simulation keeps running on its worker — its
-// result is discarded, but the memo may still serve a later identical
-// dispatch — so eviction never blocks the event loop; a modeled
-// flight's done channel is already closed.
+// evictAs charges the eviction of fl at cycle now to res, on behalf of
+// triggerID (the preempting latency job's id, or chaosTriggerID for a
+// failure): its jobs keep checkpointed progress and the aborted attempt
+// counts as busy time. Both triggers go through the same checkpoint
+// model, so a failure wastes exactly what a preemption of the same
+// flight would have. Under the Cycle engine the group's simulation
+// keeps running on its worker — its result is discarded, but the memo
+// may still serve a later identical dispatch — so eviction never
+// blocks the event loop.
 //
 // The checkpoint is taken from the solo-profile progress model, not from
 // simulator state: a job that ran elapsed cycles preserves up to
@@ -797,14 +465,6 @@ const chaosTriggerID = -1
 // capped at MaxCheckpoint. Wasted accounts the attempt time the
 // checkpoints do not preserve plus the restart tax the re-dispatch will
 // pay.
-func (f *Fleet) evict(fl *inflight, trigger *job, now uint64, res *Result) {
-	f.evictAs(fl, trigger.id, now, res)
-}
-
-// evictAs is evict with an explicit trigger id, shared by preemption
-// (the trigger job's id) and the chaos layer (chaosTriggerID): both
-// re-queue the members through the same checkpoint model, so a failure
-// wastes exactly what a preemption of the same flight would have.
 func (f *Fleet) evictAs(fl *inflight, triggerID int, now uint64, res *Result) {
 	elapsed := now - fl.dispatch
 	rec := EvictionRecord{Cycle: now, Device: fl.device, TriggerJob: triggerID}
@@ -939,53 +599,6 @@ func (f *Fleet) flightCycles(fl *inflight) uint64 {
 	return end
 }
 
-// speculate warms the schedulers' group memos with the groups each
-// still-busy device would most likely dispatch next from the current
-// queue. Results and errors are deliberately dropped: this only moves
-// simulation work off the critical path, it never changes what the real
-// dispatch computes (the memo is keyed by group content and simulations
-// are pure). A wrong guess — arrivals landing in the window before the
-// device actually frees, or busy devices freeing in a different order —
-// costs one wasted simulation, never correctness.
-func (f *Fleet) speculate(disp *dispatcher, queue []*job, idle []bool, now uint64, sem chan struct{}, wg *sync.WaitGroup, seen map[string]bool) {
-	if len(queue) == 0 {
-		return
-	}
-	// formGroup filters the queue in place, so work on a copy (the copy
-	// owns its buffer, so compaction cannot touch the real queue). Busy
-	// devices are predicted in placement order — the same order real
-	// dispatch would offer them work if they all freed at once. With
-	// aging on the prediction also guesses the dispatch time (now); a
-	// stale guess costs one wasted simulation, never correctness.
-	spec := jobQueue{slo: f.cfg.SLO.Enabled, buf: append([]*job(nil), queue...)}
-	for _, d := range f.order {
-		if idle[d] || spec.Len() == 0 {
-			continue
-		}
-		t := f.devType[d]
-		members, _ := disp.formGroup(nil, &spec, t, now)
-		sig := fmt.Sprintf("t%d:", t)
-		for _, m := range members {
-			sig += m.name() + "|"
-		}
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		g := make(sched.Group, len(members))
-		for j, m := range members {
-			g[j] = m.apps[t]
-		}
-		wg.Add(1)
-		go func(t int, g sched.Group) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			_, _ = f.types[t].Scheduler().RunGroup(g, f.cfg.Policy)
-		}(t, g)
-	}
-}
-
 // resolve materializes jobs from the arrival stream using each device
 // type's workload definitions and classes: the same application may
 // classify differently across hardware generations, so every job
@@ -1111,14 +724,4 @@ func (f *Fleet) retire(fl *inflight, res *Result) {
 		res.CycleGroups++
 	}
 	res.SMMoves += fl.rep.SMMoves
-}
-
-// drain waits out every outstanding worker before an error return, so
-// no goroutine outlives the run.
-func (f *Fleet) drain(flightOf []*inflight) {
-	for _, fl := range flightOf {
-		if fl != nil && fl.state == flightPending {
-			<-fl.done
-		}
-	}
 }

@@ -269,25 +269,22 @@ func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Resu
 
 // mergeShardSeries folds the per-shard samplers into one fleet-wide
 // series, row by row in interval order. Every shard samples the same
-// edge grid (same interval, clocks start at 0) and is finished against
-// the global makespan, so row r means the same cycle everywhere: the
-// fixed columns — all either gauges of disjoint state or cumulative
-// counters of disjoint events — sum across shards, and each shard's
-// local device columns land at their global indices. The result is
-// byte-identical to what a single sampler over the same merged event
-// stream would have produced.
-func mergeShardSeries(f *Fleet, shards []*shard, makespan uint64) (*obs.Series, error) {
-	devices := len(f.devType)
-	merged := newSampler(f.cfg.SampleEvery, devices, f.ctlEnabled(), f.cfg.Chaos.Enabled)
+// edge grid (same interval, clocks start at 0) over the same global
+// device columns, and is finished against the same horizon, so row r
+// means the same cycle everywhere. Every column past the cycle is a
+// gauge of disjoint state or a counter of disjoint events — a device a
+// shard does not own reads zero there — so the column sum is exactly
+// what a single sampler over the merged event stream would have
+// produced.
+func mergeShardSeries(f *Fleet, shards []*loop, makespan uint64) (*obs.Series, error) {
+	merged := newSampler(f.cfg.SampleEvery, len(f.devType), f.ctlEnabled(), f.cfg.Chaos.Enabled)
 	// Control events (abandons, retries, scale ticks) can fire after a
 	// shard's last completion, pushing its sampler past the fleet-wide
 	// makespan; finishing every shard against the furthest horizon keeps
 	// the per-shard row grids identical.
 	horizon := makespan
 	for _, s := range shards {
-		if s.col.lastEdge > horizon {
-			horizon = s.col.lastEdge
-		}
+		horizon = max(horizon, s.col.lastEdge)
 	}
 	parts := make([]*obs.Series, len(shards))
 	for i, s := range shards {
@@ -301,22 +298,11 @@ func mergeShardSeries(f *Fleet, shards []*shard, makespan uint64) (*obs.Series, 
 	}
 	row := merged.scratch
 	for r := 0; r < rows; r++ {
-		for c := range row {
-			row[c] = 0
-		}
 		row[colCycle] = parts[0].At(r, colCycle)
-		for i, p := range parts {
-			// Every fixed column past the cycle — the control block
-			// included — is a gauge of disjoint state or a counter of
-			// disjoint events, so summing across shards is exact.
-			for c := colQueue; c < merged.fixed; c++ {
+		for c := colQueue; c < len(row); c++ {
+			row[c] = 0
+			for _, p := range parts {
 				row[c] += p.At(r, c)
-			}
-			s := shards[i]
-			nd := len(s.devices)
-			for local, d := range s.devices {
-				row[merged.fixed+d] = p.At(r, merged.fixed+local)
-				row[merged.fixed+devices+d] = p.At(r, merged.fixed+nd+local)
 			}
 		}
 		merged.series.Append(row)

@@ -26,9 +26,8 @@
 // Group executions are deterministic, so RunGroup memoizes them: a
 // group with the same members, SM partition and reallocation mode
 // always produces the same GroupReport. Distribution queues repeat such
-// groups across policies and figures, and the fleet layer leans on the
-// memo to pre-simulate likely next dispatches speculatively without
-// ever doubling work. SnapshotGroups/RestoreGroups persist the memo
+// groups across policies and figures, and the fleet layer's repeated
+// dispatches of one composition simulate it once. SnapshotGroups/RestoreGroups persist the memo
 // across processes (keyed externally by device config and workload
 // fingerprint, see internal/core).
 package sched

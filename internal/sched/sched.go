@@ -155,9 +155,7 @@ type Scheduler struct {
 	// with the same members, the same SM partition and the same
 	// dynamic-reallocation mode always produces the same result;
 	// distribution queues repeat such groups many times across policies
-	// and figures, and the fleet dispatcher leans on the dedup to
-	// pre-simulate likely next groups speculatively without ever
-	// doubling work.
+	// and figures, and the fleet dispatcher repeats compositions.
 	groups *memo.Table[GroupReport]
 }
 

@@ -52,8 +52,8 @@ type Grid struct {
 	// modeled-engine cells. Each count is deterministic (repeat sweeps
 	// are byte-identical), and counts above 1 split the backlog K ways,
 	// so the axis exposes both the wall-time win and the K-way
-	// partition's scheduling cost. Empty defaults to the single
-	// classic loop.
+	// partition's scheduling cost. Empty defaults to one unsharded
+	// event loop.
 	Shards []int `json:"shards"`
 	// NC, Jobs, Rate, LatencyFrac, Deadline, Aging and HybridWarm are
 	// shared by every cell (zero picks the cmd/fleet defaults: NC 2,
