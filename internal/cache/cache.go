@@ -100,6 +100,11 @@ type Cache struct {
 	mshrLimit int
 	useClock  uint64
 	stats     Stats
+	// mutations counts changes to the state the probes read: residency
+	// (Fill, InvalidateAll) and MSHR entries and their waiter counts
+	// (a missing or merging Access). While it is unchanged, ProbeMiss,
+	// CanMerge and MSHRFree answer exactly as before for every line.
+	mutations uint64
 }
 
 // New builds a cache from a validated configuration.
@@ -131,6 +136,12 @@ func MustNew(cfg config.CacheConfig) *Cache {
 	}
 	return c
 }
+
+// Mutations returns a counter that changes whenever the answer of
+// ProbeMiss, CanMerge or MSHRFree may have changed for some line. A
+// caller that saw a pre-check fail can skip repeating it while the
+// counter (and anything else the pre-check reads) is unchanged.
+func (c *Cache) Mutations() uint64 { return c.mutations }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() config.CacheConfig { return c.cfg }
@@ -231,6 +242,7 @@ func (c *Cache) Access(lineAddr uint64, write bool, waiter uint64, owner int16) 
 			return Stall
 		}
 		e.waiters = append(e.waiters, waiter)
+		c.mutations++
 		c.stats.Accesses++
 		c.stats.Merged++
 		return MissMerged
@@ -240,6 +252,7 @@ func (c *Cache) Access(lineAddr uint64, write bool, waiter uint64, owner int16) 
 		return Stall
 	}
 	c.mshrs.insert(lineAddr, waiter)
+	c.mutations++
 	c.stats.Accesses++
 	c.stats.Misses++
 	return Miss
@@ -261,6 +274,7 @@ type Eviction struct {
 // write-validate style fills) and returns no waiters.
 func (c *Cache) Fill(lineAddr uint64, owner int16, dirty bool) (waiters []uint64, ev Eviction, evicted bool) {
 	waiters = c.mshrs.remove(lineAddr)
+	c.mutations++
 	set := c.sets[c.setIndex(lineAddr)]
 	victim := 0
 	for i := range set {
@@ -316,6 +330,7 @@ func (c *Cache) OutstandingMisses() int { return c.mshrs.len() }
 // application, where the synthetic address spaces are disjoint). MSHR
 // state is preserved so in-flight fills still complete.
 func (c *Cache) InvalidateAll() {
+	c.mutations++
 	for s := range c.sets {
 		for i := range c.sets[s] {
 			c.sets[s][i] = line{}

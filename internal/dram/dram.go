@@ -22,9 +22,13 @@ type bank struct {
 	busyUntil uint64
 }
 
+// queued is a waiting request with its bank and row decoded once, at
+// enqueue: the scheduler reads them every cycle for every queued
+// request, and the decode costs three divisions.
 type queued struct {
-	req     memreq.Request
-	arrival uint64
+	req  memreq.Request
+	row  uint64
+	bank int32
 }
 
 type inflight struct {
@@ -63,9 +67,14 @@ type Controller struct {
 	queue      []queued
 	writeQ     []queued
 	writeDrain bool
-	inflight   []inflight
-	busBusy    uint64
-	stats      Stats
+	// readsAt[b] and writesAt[b] count the queued reads and writes
+	// whose bank is b. They let NextEvent and the FR-FCFS pick consider
+	// only banks with waiting work instead of every queued request.
+	readsAt  []int32
+	writesAt []int32
+	inflight []inflight
+	busBusy  uint64
+	stats    Stats
 	// doneBuf backs Tick's completed-request return value so steady-state
 	// ticking performs no allocations.
 	doneBuf []memreq.Request
@@ -91,6 +100,8 @@ func New(cfg config.DRAMConfig, lineBytes int) (*Controller, error) {
 		cfg:       cfg,
 		lineBytes: lineBytes,
 		banks:     make([]bank, cfg.Banks),
+		readsAt:   make([]int32, cfg.Banks),
+		writesAt:  make([]int32, cfg.Banks),
 	}, nil
 }
 
@@ -144,13 +155,10 @@ func (c *Controller) Enqueue(req memreq.Request, now uint64) bool {
 		if len(c.writeQ) >= 2*c.cfg.QueueSize {
 			return false
 		}
-		c.writeQ = append(c.writeQ, queued{req: req, arrival: now})
-		return true
-	}
-	if len(c.queue) >= c.cfg.QueueSize {
+	} else if len(c.queue) >= c.cfg.QueueSize {
 		return false
 	}
-	c.queue = append(c.queue, queued{req: req, arrival: now})
+	c.EnqueueForced(req, now)
 	return true
 }
 
@@ -158,11 +166,15 @@ func (c *Controller) Enqueue(req memreq.Request, now uint64) bool {
 // Used only for write-backs evicted by fills, which cannot be refused
 // without deadlock; the overflow is bounded by L2 associativity.
 func (c *Controller) EnqueueForced(req memreq.Request, now uint64) {
+	b, row := c.bankAndRow(req.Line)
+	q := queued{req: req, row: row, bank: int32(b)}
 	if req.Kind == memreq.Write {
-		c.writeQ = append(c.writeQ, queued{req: req, arrival: now})
+		c.writeQ = append(c.writeQ, q)
+		c.writesAt[b]++
 		return
 	}
-	c.queue = append(c.queue, queued{req: req, arrival: now})
+	c.queue = append(c.queue, q)
+	c.readsAt[b]++
 }
 
 // bankAndRow decomposes a line address: consecutive rows interleave
@@ -223,51 +235,59 @@ func (c *Controller) Tick(now uint64) []memreq.Request {
 		c.writeDrain = false
 	}
 	if !c.writeDrain {
-		if idx := c.pick(c.queue, now); idx >= 0 {
-			q := c.queue[idx]
-			c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-			c.service(q.req, now)
+		if idx := c.pick(c.queue, c.readsAt, now); idx >= 0 {
+			c.service(&c.queue, c.readsAt, idx, now)
 			return completed
 		}
 	}
-	if idx := c.pick(c.writeQ, now); idx >= 0 {
-		q := c.writeQ[idx]
-		c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
-		c.service(q.req, now)
+	if idx := c.pick(c.writeQ, c.writesAt, now); idx >= 0 {
+		c.service(&c.writeQ, c.writesAt, idx, now)
 	} else if c.writeDrain {
 		// No serviceable write this cycle: let reads through anyway.
-		if idx := c.pick(c.queue, now); idx >= 0 {
-			q := c.queue[idx]
-			c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-			c.service(q.req, now)
+		if idx := c.pick(c.queue, c.readsAt, now); idx >= 0 {
+			c.service(&c.queue, c.readsAt, idx, now)
 		}
 	}
 	return completed
 }
 
-// pick selects the next request index to service from q, or -1.
+// anyReady reports whether some bank with queued work (per the counts
+// in at) is free at now.
+func (c *Controller) anyReady(at []int32, now uint64) bool {
+	for b, n := range at {
+		if n > 0 && c.banks[b].busyUntil <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// pick selects the next request index to service from q, or -1. at
+// holds q's per-bank counts.
 //
 // FR-FCFS: the oldest request that hits an open row in a ready bank; if
 // none, the oldest request whose bank is ready. FCFS: the head request,
 // only if its bank is ready (head-of-line blocking is the point).
-func (c *Controller) pick(q []queued, now uint64) int {
+func (c *Controller) pick(q []queued, at []int32, now uint64) int {
 	if len(q) == 0 {
 		return -1
 	}
 	if c.cfg.Sched == config.MemFCFS {
-		b, _ := c.bankAndRow(q[0].req.Line)
-		if c.banks[b].busyUntil <= now {
+		if c.banks[q[0].bank].busyUntil <= now {
 			return 0
 		}
 		return -1
 	}
+	if !c.anyReady(at, now) {
+		return -1 // every bank with queued work is busy: the scan would fail
+	}
 	firstReady := -1
 	for i := range q {
-		b, row := c.bankAndRow(q[i].req.Line)
-		if c.banks[b].busyUntil > now {
+		b := &c.banks[q[i].bank]
+		if b.busyUntil > now {
 			continue
 		}
-		if c.banks[b].hasOpen && c.banks[b].openRow == row {
+		if b.hasOpen && b.openRow == q[i].row {
 			return i // first-ready row hit
 		}
 		if firstReady < 0 {
@@ -277,14 +297,18 @@ func (c *Controller) pick(q []queued, now uint64) int {
 	return firstReady
 }
 
-// service performs the DRAM timing for one request. Row hits pipeline:
-// the column pipeline overlaps CAS latency across back-to-back hits, so
-// a hit occupies its bank only for the data burst, while a miss holds it
-// through precharge and activation. Completion (data arrival) always
-// includes the access latency.
-func (c *Controller) service(req memreq.Request, now uint64) {
-	bIdx, row := c.bankAndRow(req.Line)
-	b := &c.banks[bIdx]
+// service removes request idx from *q (whose per-bank counts are at)
+// and performs its DRAM timing. Row hits pipeline: the column pipeline
+// overlaps CAS latency across back-to-back hits, so a hit occupies its
+// bank only for the data burst, while a miss holds it through precharge
+// and activation. Completion (data arrival) always includes the access
+// latency.
+func (c *Controller) service(q *[]queued, at []int32, idx int, now uint64) {
+	e := (*q)[idx]
+	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	at[e.bank]--
+	req, row := e.req, e.row
+	b := &c.banks[e.bank]
 	var lat, occupancy uint64
 	if b.hasOpen && b.openRow == row {
 		lat = uint64(c.cfg.CASLatency)
@@ -339,10 +363,10 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 			next = d
 		}
 	}
-	if t := c.queueNext(c.queue, now); t < next {
+	if t := c.queueNext(c.queue, c.readsAt, now); t < next {
 		next = t
 	}
-	if t := c.queueNext(c.writeQ, now); t < next {
+	if t := c.queueNext(c.writeQ, c.writesAt, now); t < next {
 		next = t
 	}
 	return next
@@ -350,21 +374,23 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 
 // queueNext returns the earliest cycle a request in q could be
 // scheduled. Under FCFS only the head can ever be picked; under FR-FCFS
-// any request whose bank is ready competes.
-func (c *Controller) queueNext(q []queued, now uint64) uint64 {
+// any request whose bank is ready competes, so the answer depends only
+// on the banks with queued work (at holds q's per-bank counts).
+func (c *Controller) queueNext(q []queued, at []int32, now uint64) uint64 {
 	if len(q) == 0 {
 		return NoEvent
 	}
 	if c.cfg.Sched == config.MemFCFS {
-		b, _ := c.bankAndRow(q[0].req.Line)
-		if bu := c.banks[b].busyUntil; bu > now {
+		if bu := c.banks[q[0].bank].busyUntil; bu > now {
 			return bu
 		}
 		return now + 1
 	}
 	next := uint64(NoEvent)
-	for i := range q {
-		b, _ := c.bankAndRow(q[i].req.Line)
+	for b, n := range at {
+		if n == 0 {
+			continue
+		}
 		bu := c.banks[b].busyUntil
 		if bu <= now {
 			return now + 1

@@ -223,23 +223,27 @@ func (sm *SM) recordIssue(st *stats.App, op isa.Op) {
 // All-or-nothing: capacity (MSHR entries, merge slots, output queue) is
 // verified before any state changes.
 func (sm *SM) issueLoad(slot int32, lines []uint64, now uint64) bool {
-	newMisses := 0
-	for _, ln := range lines {
-		if sm.l1.ProbeMiss(ln) {
-			newMisses++
-		} else if !sm.l1.CanMerge(ln) {
-			return false
-		}
+	w := &sm.warps[slot]
+	newMisses := int32(0)
+	if w.cachedValid && w.replayMut == sm.l1.Mutations() {
+		// A replay whose L1 probe state is unchanged since its last
+		// pre-check: the per-line probes would answer the same.
+		newMisses = w.replayMisses
+	} else {
+		newMisses = sm.probeLoad(lines)
+		w.replayMut, w.replayMisses = sm.l1.Mutations(), newMisses
+	}
+	if newMisses < 0 {
+		return false
 	}
 	if newMisses > 0 {
-		if sm.l1.MSHRFree() < newMisses {
+		if sm.l1.MSHRFree() < int(newMisses) {
 			return false
 		}
-		if sm.outLimit-sm.OutPending() < newMisses {
+		if sm.outLimit-sm.OutPending() < int(newMisses) {
 			return false
 		}
 	}
-	w := &sm.warps[slot]
 	waits := int32(0)
 	for _, ln := range lines {
 		res := sm.l1.Access(ln, false, uint64(slot), sm.app)
@@ -270,6 +274,21 @@ func (sm *SM) issueLoad(slot int32, lines []uint64, now uint64) bool {
 	}
 	w.pc++
 	return true
+}
+
+// probeLoad counts the lines of a load that need a new L1 MSHR entry,
+// or returns -1 when some line's outstanding miss has no merge slot
+// left. It reads only the L1's probe state.
+func (sm *SM) probeLoad(lines []uint64) int32 {
+	n := int32(0)
+	for _, ln := range lines {
+		if sm.l1.ProbeMiss(ln) {
+			n++
+		} else if !sm.l1.CanMerge(ln) {
+			return -1
+		}
+	}
+	return n
 }
 
 // issueStore forwards write-through stores downstream without blocking

@@ -39,8 +39,13 @@ type warp struct {
 	globalID     int32 // kernel-wide warp index, drives Fetch
 	pc           int32
 	pendingLoads int32
+	// replayMisses memoizes a replayed load's probe result (probeLoad)
+	// taken when the L1 mutation counter read replayMut; it is
+	// consulted only while cachedValid is set.
+	replayMisses int32
 	blockedUntil uint64
 	launchSeq    uint64
+	replayMut    uint64
 	cachedLines  []uint64
 	// opRow is the warp's row of the kernel's opcode table (nil for
 	// grids above the table cap); it makes the compute fast path a
