@@ -8,10 +8,15 @@ import "sort"
 // dispatch stay cheap at warehouse scale:
 //
 //   - insert: binary search for the position (latency class before
-//     batch when SLO-aware, then arrival cycle, then arrival index).
-//     Arrivals are admitted in cycle order, so in the common case the
-//     position is the tail and insertion is an O(1) append; only
-//     evicted jobs re-entering the queue pay the mid-queue copy.
+//     batch when SLO-aware, then arrival cycle, then arrival index),
+//     then shift whichever side of the position is shorter. Without
+//     SLO ordering, arrivals are admitted in cycle order, so the
+//     position is the tail and insertion is an O(1) append. With it,
+//     a latency arrival lands behind the (short) latency segment and
+//     ahead of the whole batch backlog, so it shifts the latency
+//     segment one slot into the free headroom in front of head
+//     rather than copying the backlog. Only an evicted job re-entering
+//     mid-backlog moves more, and never more than half the queue.
 //   - removeJobs: group formation only ever draws members from the
 //     queue's window prefix (at most MaxWindow deep, or the FCFS/Serial
 //     head), so removal compacts the surviving prefix entries onto the
@@ -78,6 +83,17 @@ func (q *jobQueue) insert(j *job) {
 	j.state = jsWaiting
 	v := q.view()
 	pos := sort.Search(len(v), func(i int) bool { return q.before(j, v[i]) })
+	if pos < len(v)-pos {
+		// Fewer jobs ahead of j than behind it: slide the front part
+		// one slot into the headroom.
+		if q.head == 0 {
+			q.openFront()
+		}
+		q.head--
+		copy(q.buf[q.head:], q.buf[q.head+1:q.head+1+pos])
+		q.buf[q.head+pos] = j
+		return
+	}
 	q.buf = append(q.buf, j)
 	if pos == len(v) {
 		return
@@ -85,6 +101,25 @@ func (q *jobQueue) insert(j *job) {
 	at := q.head + pos
 	copy(q.buf[at+1:], q.buf[at:])
 	q.buf[at] = j
+}
+
+// openFront moves the waiting jobs back to leave free slots in front of
+// head, for inserts nearer the front than the back. It leaves room for
+// a quarter of the backlog (at least a window), so its copy is
+// amortized O(1) over the front inserts that use the room.
+func (q *jobQueue) openFront() {
+	n := q.Len()
+	room := max(MaxWindow, n/4)
+	if cap(q.buf) < room+n {
+		buf := make([]*job, room+n, 2*(room+n))
+		copy(buf[room:], q.view())
+		q.buf = buf
+	} else {
+		q.buf = q.buf[:room+n]
+		copy(q.buf[room:], q.buf[q.head:q.head+n])
+		clear(q.buf[:room])
+	}
+	q.head = room
 }
 
 // advance pops the first n waiting jobs (the FCFS/Serial paths, whose
@@ -142,22 +177,21 @@ func (q *jobQueue) removeJobs(members []*job) {
 	q.compact()
 }
 
-// compact slides the live suffix back to the front once the dead
-// prefix dominates the buffer. Without it the head-indexed buffer only
+// compact slides the live suffix back towards the front once the dead
+// prefix dominates the buffer, leaving one window of headroom in front
+// of head for front inserts. Without it the head-indexed buffer only
 // ever grows (inserts append at the tail while the head advances), so
 // a long run reallocates forever and holds O(total jobs) slots; with
-// it the buffer is bounded by twice the live backlog and steady-state
-// dispatch stays allocation-free. The copy is amortized O(1) per
-// removed job: each compaction moves at most as many entries as were
-// consumed since the last one.
+// it the buffer stays within about twice the live backlog and
+// steady-state dispatch stays allocation-free. The copy is amortized
+// O(1) per removed job: each compaction moves at most as many entries
+// as were consumed since the last one.
 func (q *jobQueue) compact() {
-	if q.head < MaxWindow || q.head*2 < len(q.buf) {
+	if q.head < 2*MaxWindow || q.head*2 < len(q.buf) {
 		return
 	}
-	n := copy(q.buf, q.buf[q.head:])
-	for k := n; k < len(q.buf); k++ {
-		q.buf[k] = nil
-	}
-	q.buf = q.buf[:n]
-	q.head = 0
+	n := copy(q.buf[MaxWindow:], q.buf[q.head:])
+	clear(q.buf[MaxWindow+n:])
+	q.buf = q.buf[:MaxWindow+n]
+	q.head = MaxWindow
 }
