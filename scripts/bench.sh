@@ -13,8 +13,13 @@
 # if that name is already committed — snapshots are history, never
 # overwritten), plus the raw `go test` output on stdout and a delta
 # table against the latest committed BENCH_*.json (via
-# scripts/benchdelta). Each entry is
-#   {"name": ..., "iterations": N, "metrics": {"ns/op": ..., ...}}
+# scripts/benchdelta). The snapshot is
+#   {"host": {"cpu": ..., "gomaxprocs": N, "go": ..., "goos": ..., "goarch": ...},
+#    "benchmarks": [{"name": ..., "iterations": N, "metrics": {"ns/op": ..., ...}}, ...]}
+# The host record comes from go test's cpu:/goos:/goarch: header lines,
+# the benchmark names' -N suffix (GOMAXPROCS; go test omits it at 1) and
+# the toolchain's GOVERSION, so benchdelta can refuse to compare
+# snapshots taken on different machines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,10 +38,14 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" ./... | tee "$raw"
 
-awk '
-BEGIN { n = 0 }
+awk -v gover="$(go env GOVERSION)" '
+BEGIN { n = 0; procs = 1; cpu = ""; goos = ""; goarch = "" }
+/^cpu: / && cpu == "" { cpu = substr($0, 6); gsub(/["\\]/, "", cpu) }
+/^goos: / && goos == "" { goos = $2 }
+/^goarch: / && goarch == "" { goarch = $2 }
 /^Benchmark/ && NF >= 3 {
     name = $1
+    if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)  # strip GOMAXPROCS suffix
     iters = $2
     metrics = ""
@@ -49,15 +58,19 @@ BEGIN { n = 0 }
     printf "  {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {%s}}", name, iters, metrics
     n++
 }
-END { printf "\n" }
-' "$raw" > "$out.body"
+END {
+    printf "\n"
+    printf "{\"cpu\": \"%s\", \"gomaxprocs\": %d, \"go\": \"%s\", \"goos\": \"%s\", \"goarch\": \"%s\"}\n", cpu, procs, gover, goos, goarch > hostfile
+}
+' hostfile="$out.host" "$raw" > "$out.body"
 
 {
-    echo "["
+    echo "{\"host\": $(cat "$out.host"),"
+    echo " \"benchmarks\": ["
     cat "$out.body"
-    echo "]"
+    echo "]}"
 } > "$out"
-rm -f "$out.body"
+rm -f "$out.body" "$out.host"
 echo "wrote $out"
 
 # Delta table against the most recent committed snapshot (the committed

@@ -13,6 +13,15 @@
 // their values still printed — rather than misreported as changes. For
 // time-like and allocation metrics lower is better; benchdelta does not
 // judge, it only reports.
+//
+// A snapshot is either the current object form, {"host": {...},
+// "benchmarks": [...]}, whose host record names the CPU model,
+// GOMAXPROCS, Go version, GOOS and GOARCH the numbers were taken on, or
+// the older bare array of benchmarks, which carries no host. When both
+// snapshots name their host and the hosts differ, the deltas would
+// compare machines rather than code: benchdelta then prints "not
+// comparable" and the differing fields instead. When either host is
+// unknown it prints the deltas under a warning.
 package main
 
 import (
@@ -31,30 +40,92 @@ type entry struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-func load(path string) (map[string]entry, []string, error) {
+// host is the machine and toolchain a snapshot was taken on.
+type host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+}
+
+// snap is one parsed snapshot: benchmarks by name, their first-seen
+// order, and the host (nil for the old array format).
+type snap struct {
+	byName map[string]entry
+	order  []string
+	host   *host
+}
+
+func load(path string) (snap, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return snap{}, err
 	}
 	return parse(data, path)
 }
 
-// parse decodes one snapshot, keeping first-seen order and deduplicating
-// by name (last entry wins, as bench.sh appends reruns).
-func parse(data []byte, path string) (map[string]entry, []string, error) {
-	var list []entry
-	if err := json.Unmarshal(data, &list); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+// parse decodes one snapshot in either format, keeping first-seen order
+// and deduplicating by name (last entry wins, as bench.sh appends
+// reruns).
+func parse(data []byte, path string) (snap, error) {
+	var doc struct {
+		Host       *host   `json:"host"`
+		Benchmarks []entry `json:"benchmarks"`
 	}
-	m := make(map[string]entry, len(list))
-	var order []string
-	for _, e := range list {
-		if _, dup := m[e.Name]; !dup {
-			order = append(order, e.Name)
+	if err := json.Unmarshal(data, &doc.Benchmarks); err != nil {
+		// Not the old bare array: the object form with a host record.
+		doc.Benchmarks = nil
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return snap{}, fmt.Errorf("%s: %w", path, err)
 		}
-		m[e.Name] = e
+		if doc.Host == nil {
+			return snap{}, fmt.Errorf("%s: snapshot object has no host record", path)
+		}
 	}
-	return m, order, nil
+	s := snap{byName: make(map[string]entry, len(doc.Benchmarks)), host: doc.Host}
+	for _, e := range doc.Benchmarks {
+		if _, dup := s.byName[e.Name]; !dup {
+			s.order = append(s.order, e.Name)
+		}
+		s.byName[e.Name] = e
+	}
+	return s, nil
+}
+
+// hostDiffs lists the host fields on which a and b differ.
+func hostDiffs(a, b host) []string {
+	var d []string
+	add := func(field, x, y string) {
+		if x != y {
+			d = append(d, fmt.Sprintf("%s %q vs %q", field, x, y))
+		}
+	}
+	add("cpu", a.CPU, b.CPU)
+	add("GOMAXPROCS", fmt.Sprint(a.GOMAXPROCS), fmt.Sprint(b.GOMAXPROCS))
+	add("go", a.Go, b.Go)
+	add("goos", a.GOOS, b.GOOS)
+	add("goarch", a.GOARCH, b.GOARCH)
+	return d
+}
+
+// report writes the comparison of two snapshots: deltas when they come
+// from the same host (or a host is unknown, with a warning), and "not
+// comparable" with the differing host fields otherwise.
+func report(base, cur snap, w io.Writer) {
+	switch {
+	case base.host == nil || cur.host == nil:
+		fmt.Fprintln(w, "  warning: a snapshot records no host; the deltas may compare different machines")
+	default:
+		if d := hostDiffs(*base.host, *cur.host); len(d) > 0 {
+			fmt.Fprintln(w, "  not comparable: the snapshots come from different hosts")
+			for _, f := range d {
+				fmt.Fprintf(w, "    %s\n", f)
+			}
+			return
+		}
+	}
+	diff(base.byName, base.order, cur.byName, cur.order, w)
 }
 
 // metricNames is the union of both sides' metric names: the new side's
@@ -123,14 +194,14 @@ func main() {
 	if len(os.Args) != 3 {
 		log.Fatal("usage: benchdelta baseline.json new.json")
 	}
-	base, baseOrder, err := load(os.Args[1])
+	base, err := load(os.Args[1])
 	if err != nil {
 		log.Fatal(err)
 	}
-	cur, curOrder, err := load(os.Args[2])
+	cur, err := load(os.Args[2])
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("benchmark deltas (%s -> %s):\n", os.Args[1], os.Args[2])
-	diff(base, baseOrder, cur, curOrder, os.Stdout)
+	report(base, cur, os.Stdout)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,11 @@ import (
 // snapshot builds a parsed snapshot from literal JSON.
 func snapshot(t *testing.T, js string) (map[string]entry, []string) {
 	t.Helper()
-	m, order, err := parse([]byte(js), "test.json")
+	s, err := parse([]byte(js), "test.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, order
+	return s.byName, s.order
 }
 
 func TestDiffReportsChangesAndDirection(t *testing.T) {
@@ -91,7 +92,68 @@ func TestParseDeduplicatesByName(t *testing.T) {
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
-	if _, _, err := parse([]byte("not json"), "x.json"); err == nil {
-		t.Fatal("garbage accepted")
+	for _, js := range []string{"not json", `{"benchmarks":[]}`, `{"host":{"cpu":"x"},"benchmarks":7}`} {
+		if _, err := parse([]byte(js), "x.json"); err == nil {
+			t.Errorf("%s accepted", js)
+		}
+	}
+}
+
+// TestReportReadsBothFormats feeds report an old array snapshot and a
+// new host-recording one: both parse, and a mix of the two prints
+// deltas under an unknown-host warning.
+func TestReportReadsBothFormats(t *testing.T) {
+	old, err := parse([]byte(`[{"name":"BenchmarkA","iterations":3,"metrics":{"ns/op":100}}]`), "old.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := parse([]byte(`{"host":{"cpu":"CPU X","gomaxprocs":4,"go":"go1.24.0","goos":"linux","goarch":"amd64"},
+		"benchmarks":[{"name":"BenchmarkA","iterations":5,"metrics":{"ns/op":80}}]}`), "new.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.host != nil || cur.host == nil || cur.host.GOMAXPROCS != 4 || cur.host.CPU != "CPU X" {
+		t.Fatalf("hosts parsed as %+v and %+v", old.host, cur.host)
+	}
+	if cur.byName["BenchmarkA"].Iterations != 5 {
+		t.Fatalf("object-form benchmarks = %+v", cur.byName)
+	}
+	var buf bytes.Buffer
+	report(old, cur, &buf)
+	out := buf.String()
+	for _, want := range []string{"records no host", "-20.0%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestReportRefusesCrossHostDeltas: snapshots from different hosts
+// print "not comparable" and the differing fields, never a delta; the
+// same host prints deltas without a warning.
+func TestReportRefusesCrossHostDeltas(t *testing.T) {
+	mk := func(cpu string, procs int, ns int) snap {
+		s, err := parse([]byte(fmt.Sprintf(`{"host":{"cpu":%q,"gomaxprocs":%d,"go":"go1.24.0","goos":"linux","goarch":"amd64"},
+			"benchmarks":[{"name":"BenchmarkA","metrics":{"ns/op":%d}}]}`, cpu, procs, ns)), "s.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	var buf bytes.Buffer
+	report(mk("CPU X", 2, 100), mk("CPU Y", 8, 50), &buf)
+	out := buf.String()
+	for _, want := range []string{"not comparable", `cpu "CPU X" vs "CPU Y"`, `GOMAXPROCS "2" vs "8"`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("cross-host report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "%") {
+		t.Errorf("cross-host report printed a delta:\n%s", out)
+	}
+	buf.Reset()
+	report(mk("CPU X", 2, 100), mk("CPU X", 2, 50), &buf)
+	if out := buf.String(); !strings.Contains(out, "-50.0%") || strings.Contains(out, "warning") || strings.Contains(out, "not comparable") {
+		t.Errorf("same-host report:\n%s", out)
 	}
 }
