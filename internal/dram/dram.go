@@ -100,8 +100,13 @@ func New(cfg config.DRAMConfig, lineBytes int) (*Controller, error) {
 		cfg:       cfg,
 		lineBytes: lineBytes,
 		banks:     make([]bank, cfg.Banks),
-		readsAt:   make([]int32, cfg.Banks),
-		writesAt:  make([]int32, cfg.Banks),
+		// Sized to the enqueue limits up front: growing them by
+		// doubling would allocate about as much again in discarded
+		// arrays per controller.
+		queue:    make([]queued, 0, cfg.QueueSize),
+		writeQ:   make([]queued, 0, 2*cfg.QueueSize),
+		readsAt:  make([]int32, cfg.Banks),
+		writesAt: make([]int32, cfg.Banks),
 	}, nil
 }
 

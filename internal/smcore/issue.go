@@ -224,7 +224,7 @@ func (sm *SM) recordIssue(st *stats.App, op isa.Op) {
 // verified before any state changes.
 func (sm *SM) issueLoad(slot int32, lines []uint64, now uint64) bool {
 	w := &sm.warps[slot]
-	newMisses := int32(0)
+	var newMisses int16
 	if w.cachedValid && w.replayMut == sm.l1.Mutations() {
 		// A replay whose L1 probe state is unchanged since its last
 		// pre-check: the per-line probes would answer the same.
@@ -279,8 +279,8 @@ func (sm *SM) issueLoad(slot int32, lines []uint64, now uint64) bool {
 // probeLoad counts the lines of a load that need a new L1 MSHR entry,
 // or returns -1 when some line's outstanding miss has no merge slot
 // left. It reads only the L1's probe state.
-func (sm *SM) probeLoad(lines []uint64) int32 {
-	n := int32(0)
+func (sm *SM) probeLoad(lines []uint64) int16 {
+	n := int16(0)
 	for _, ln := range lines {
 		if sm.l1.ProbeMiss(ln) {
 			n++

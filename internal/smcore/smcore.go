@@ -30,19 +30,20 @@ const NoApp int16 = -1
 const NoEvent = ^uint64(0)
 
 type warp struct {
-	active       bool
-	finished     bool
-	atBarrier    bool
-	cachedValid  bool // cachedOp/cachedLines replay a structurally stalled instruction
-	cachedOp     isa.Op
+	active      bool
+	finished    bool
+	atBarrier   bool
+	cachedValid bool // cachedOp/cachedLines replay a structurally stalled instruction
+	cachedOp    isa.Op
+	// replayMisses memoizes a replayed load's probe result (probeLoad,
+	// at most a warp's coalesced line count) taken when the L1
+	// mutation counter read replayMut; it is consulted only while
+	// cachedValid is set.
+	replayMisses int16
 	ctaSlot      int32
 	globalID     int32 // kernel-wide warp index, drives Fetch
 	pc           int32
 	pendingLoads int32
-	// replayMisses memoizes a replayed load's probe result (probeLoad)
-	// taken when the L1 mutation counter read replayMut; it is
-	// consulted only while cachedValid is set.
-	replayMisses int32
 	blockedUntil uint64
 	launchSeq    uint64
 	replayMut    uint64
