@@ -20,7 +20,7 @@
 // the older bare array of benchmarks, which carries no host. When both
 // snapshots name their host and the hosts differ, the deltas would
 // compare machines rather than code: benchdelta then prints "not
-// comparable" and the differing fields instead. When either host is
+// comparable" and both host records instead. When either host is
 // unknown it prints the deltas under a warning.
 package main
 
@@ -93,37 +93,16 @@ func parse(data []byte, path string) (snap, error) {
 	return s, nil
 }
 
-// hostDiffs lists the host fields on which a and b differ.
-func hostDiffs(a, b host) []string {
-	var d []string
-	add := func(field, x, y string) {
-		if x != y {
-			d = append(d, fmt.Sprintf("%s %q vs %q", field, x, y))
-		}
-	}
-	add("cpu", a.CPU, b.CPU)
-	add("GOMAXPROCS", fmt.Sprint(a.GOMAXPROCS), fmt.Sprint(b.GOMAXPROCS))
-	add("go", a.Go, b.Go)
-	add("goos", a.GOOS, b.GOOS)
-	add("goarch", a.GOARCH, b.GOARCH)
-	return d
-}
-
 // report writes the comparison of two snapshots: deltas when they come
 // from the same host (or a host is unknown, with a warning), and "not
-// comparable" with the differing host fields otherwise.
+// comparable" with both host records otherwise.
 func report(base, cur snap, w io.Writer) {
-	switch {
-	case base.host == nil || cur.host == nil:
+	if base.host == nil || cur.host == nil {
 		fmt.Fprintln(w, "  warning: a snapshot records no host; the deltas may compare different machines")
-	default:
-		if d := hostDiffs(*base.host, *cur.host); len(d) > 0 {
-			fmt.Fprintln(w, "  not comparable: the snapshots come from different hosts")
-			for _, f := range d {
-				fmt.Fprintf(w, "    %s\n", f)
-			}
-			return
-		}
+	} else if *base.host != *cur.host {
+		fmt.Fprintln(w, "  not comparable: the snapshots come from different hosts")
+		fmt.Fprintf(w, "    baseline %+v\n    new      %+v\n", *base.host, *cur.host)
+		return
 	}
 	diff(base.byName, base.order, cur.byName, cur.order, w)
 }
