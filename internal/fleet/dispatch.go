@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/classify"
 	"repro/internal/match"
@@ -63,12 +62,12 @@ func (f *Fleet) windowFor(q []*job, t int) int {
 type dispatcher struct {
 	f *Fleet
 	// solveMemo memoizes matcher solves per (type, window composition);
-	// see solveWindow. Nil when the match tables are disabled.
+	// see solveWindow.
 	solveMemo []map[[classify.NumClasses]int]match.Result
 	// agingW is the window-aligned aging-weight scratch agingWeights
 	// fills (index i weights window[i]).
 	agingW []float64
-	// patBuf is the reused class-pattern scratch for modelReportInto.
+	// patBuf is the reused class-pattern scratch groupPattern fills.
 	patBuf match.Pattern
 	// free pools retired modeled flights for reuse: their member slice
 	// and report buffers keep their capacity, so steady-state dispatch
@@ -78,12 +77,9 @@ type dispatcher struct {
 
 // newDispatcher builds the per-event-loop scratch state.
 func (f *Fleet) newDispatcher() *dispatcher {
-	d := &dispatcher{f: f}
-	if f.ncPatterns != nil {
-		d.solveMemo = make([]map[[classify.NumClasses]int]match.Result, len(f.types))
-		for t := range d.solveMemo {
-			d.solveMemo[t] = make(map[[classify.NumClasses]int]match.Result)
-		}
+	d := &dispatcher{f: f, solveMemo: make([]map[[classify.NumClasses]int]match.Result, len(f.types))}
+	for t := range d.solveMemo {
+		d.solveMemo[t] = make(map[[classify.NumClasses]int]match.Result)
 	}
 	return d
 }
@@ -201,8 +197,9 @@ func (d *dispatcher) formGroup(dst []*job, queue *jobQueue, t int, now uint64) (
 		queue.advance(n)
 		return dst, false
 	}
-	// ILP / ILPSMRA.
-	if queue.Len() >= f.cfg.GreedyBelow && queue.Len() >= f.cfg.NC {
+	// ILP / ILPSMRA. A lone member has no partner to match, so NC = 1
+	// always forms greedily.
+	if f.cfg.NC >= 2 && queue.Len() >= f.cfg.GreedyBelow && queue.Len() >= f.cfg.NC {
 		if g := d.formILPGroup(dst, queue, t, now); g != nil {
 			return g, true
 		}
@@ -277,15 +274,14 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 		// The aging path re-weights and re-solves per dispatch (waits
 		// change every cycle, so the solve cannot be memoized); the
 		// zero-allocation contract covers the memoized aging-off path.
-		patterns, eff := f.ncPatternTable(t)
 		var classWait [classify.NumClasses]float64
 		for wi, j := range window {
 			if w := aging[wi]; w > classWait[j.apps[t].Class] {
 				classWait[j.apps[t].Class] = w
 			}
 		}
-		eff = match.AgedEfficiencies(patterns, eff, classWait, f.cfg.Aging)
-		res, err = match.SolveWithEff(patterns, eff, counts, f.cfg.NC)
+		eff := match.AgedEfficiencies(f.ncPatterns, f.ncEff[t], classWait, f.cfg.Aging)
+		res, err = match.SolveWithEff(f.ncPatterns, eff, counts, f.cfg.NC)
 	} else {
 		res, err = d.solveWindow(t, counts)
 	}
@@ -333,46 +329,40 @@ func (d *dispatcher) formILPGroup(dst []*job, queue *jobQueue, t int, now uint64
 // scale (tens of thousands of dispatches per run) that dominated the
 // dispatcher, so New precomputes, per device type:
 //
-//   - the pattern list for every group size up to NC and each pattern's
-//     Equation 3.4 efficiency (effAll, looked up by packed class key);
+//   - every class pattern of 2 to NC members and its Equation 3.4
+//     efficiency (effAll), looked up by the pattern's class-count
+//     vector: a multiset is fully determined by how many members of
+//     each class it holds, so the key needs no sort and patterns of
+//     different sizes never collide;
 //   - the size-NC pattern/efficiency table the solver consumes;
 //   - a solve memo keyed by the window's class composition — group
 //     formation is a pure function of (type, counts) when aging is off,
 //     and deep-queue phases repeat the same compositions constantly.
 //
-// The tables are only built for the ILP policies with 2 <= NC <= 8
-// (the packed key holds eight classes); anything else falls back to
-// the direct computation, which is exactly what the tables memoize.
-
-// packPattern packs a non-decreasing class multiset into a uint64 key
-// (one byte per class, offset so a leading class 0 still contributes,
-// making keys of different sizes collision-free).
-func packPattern(p []classify.Class) uint64 {
-	k := uint64(0)
-	for _, c := range p {
-		k = k<<8 | (uint64(c) + 1)
-	}
-	return k
-}
+// The tables are built for every ILP run with NC >= 2, the only runs
+// that form matched groups.
 
 // buildMatchTables precomputes the pattern/efficiency tables; called
 // from New after validation (matrices exist for the ILP policies).
 func (f *Fleet) buildMatchTables() {
-	if f.cfg.Policy != sched.ILP && f.cfg.Policy != sched.ILPSMRA {
+	if f.cfg.Policy != sched.ILP && f.cfg.Policy != sched.ILPSMRA || f.cfg.NC < 2 {
 		return
 	}
-	if f.cfg.NC < 2 || f.cfg.NC > 8 {
-		return
-	}
-	f.patIndex = make(map[uint64]int)
+	f.patIndex = make(map[[classify.NumClasses]int]int)
 	var all []match.Pattern
 	for size := 2; size <= f.cfg.NC; size++ {
 		for _, p := range match.Patterns(size) {
-			f.patIndex[packPattern(p)] = len(all)
+			var counts [classify.NumClasses]int
+			for _, c := range p {
+				counts[c]++
+			}
+			f.patIndex[counts] = len(all)
 			all = append(all, p)
 		}
 	}
-	f.ncPatterns = match.Patterns(f.cfg.NC)
+	// The size-NC patterns are the enumeration's tail.
+	ncFrom := len(all) - match.NumPatterns(f.cfg.NC)
+	f.ncPatterns = all[ncFrom:]
 	f.effAll = make([][]float64, len(f.types))
 	f.ncEff = make([][]float64, len(f.types))
 	for t := range f.types {
@@ -382,11 +372,7 @@ func (f *Fleet) buildMatchTables() {
 			eff[i] = match.Efficiency(m, p)
 		}
 		f.effAll[t] = eff
-		nc := make([]float64, len(f.ncPatterns))
-		for i, p := range f.ncPatterns {
-			nc[i] = match.Efficiency(m, p)
-		}
-		f.ncEff[t] = nc
+		f.ncEff[t] = eff[ncFrom:]
 	}
 }
 
@@ -397,38 +383,12 @@ func (f *Fleet) buildMatchTables() {
 //
 //simlint:hotpath
 func (f *Fleet) patternEff(t int, members []*job, extra *job) float64 {
-	if f.patIndex == nil {
-		return match.Efficiency(f.types[t].Matrix(), pattern(members, extra, t))
-	}
-	var buf [8]classify.Class
-	n := 0
+	var counts [classify.NumClasses]int
 	for _, m := range members {
-		buf[n] = m.apps[t].Class
-		n++
+		counts[m.apps[t].Class]++
 	}
-	buf[n] = extra.apps[t].Class
-	n++
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return f.effAll[t][f.patIndex[packPattern(buf[:n])]]
-}
-
-// ncPatternTable returns the size-NC patterns and their efficiencies on
-// type t, from the precomputed tables when available.
-func (f *Fleet) ncPatternTable(t int) ([]match.Pattern, []float64) {
-	if f.ncPatterns != nil {
-		return f.ncPatterns, f.ncEff[t]
-	}
-	patterns := match.Patterns(f.cfg.NC)
-	eff := make([]float64, len(patterns))
-	m := f.types[t].Matrix()
-	for k, p := range patterns {
-		eff[k] = match.Efficiency(m, p)
-	}
-	return patterns, eff
+	counts[extra.apps[t].Class]++
+	return f.effAll[t][f.patIndex[counts]]
 }
 
 // solveWindow runs the matcher over one window composition, memoized
@@ -438,30 +398,13 @@ func (f *Fleet) ncPatternTable(t int) ([]match.Pattern, []float64) {
 // dispatcher (not the Fleet) so each shard's event loop memoizes
 // privately and the Fleet stays read-only under concurrency.
 func (d *dispatcher) solveWindow(t int, counts [classify.NumClasses]int) (match.Result, error) {
-	f := d.f
-	if d.solveMemo == nil {
-		return match.Solve(f.types[t].Matrix(), counts, f.cfg.NC)
-	}
 	if res, ok := d.solveMemo[t][counts]; ok {
 		return res, nil
 	}
-	res, err := match.SolveWithEff(f.ncPatterns, f.ncEff[t], counts, f.cfg.NC)
+	res, err := match.SolveWithEff(d.f.ncPatterns, d.f.ncEff[t], counts, d.f.cfg.NC)
 	if err != nil {
 		return match.Result{}, err
 	}
 	d.solveMemo[t][counts] = res
 	return res, nil
-}
-
-// pattern builds the sorted class multiset of members plus one extra,
-// with classes as device type t sees them (the fallback path when the
-// memo tables are disabled).
-func pattern(members []*job, extra *job, t int) match.Pattern {
-	p := make(match.Pattern, 0, len(members)+1)
-	for _, m := range members {
-		p = append(p, m.apps[t].Class)
-	}
-	p = append(p, extra.apps[t].Class)
-	sort.SliceStable(p, func(i, j int) bool { return p[i] < p[j] })
-	return p
 }

@@ -18,7 +18,10 @@
 //     shallow (latency matters more than packing) and with a windowed
 //     ILP over the queue prefix when it is deep. The window adapts to
 //     queue depth and class mix, and both scorers can weight pattern
-//     efficiency by member wait time (dispatch.go);
+//     efficiency by member wait time. Both read pattern efficiencies
+//     precomputed per device type and keyed by class-count vector,
+//     which identifies a class multiset of any size without sorting,
+//     so dispatch re-scores nothing at any group size (dispatch.go);
 //   - group executions run concurrently on a worker pool, one in-flight
 //     group per device, through sched.Scheduler.RunGroup — the same
 //     single-group path the offline scheduler uses (loop.go);
@@ -30,8 +33,8 @@
 //
 // There is one event loop type (loop.go). An unsharded run drives a
 // single loop over the whole roster; with Config.Shards > 1 an epoch
-// coordinator drives one loop per device partition and merges their
-// results (shard.go). The loop's sources — arrivals, control events,
+// coordinator drives one loop per device partition. Either way one
+// collect step assembles the drained loops into the Result (shard.go). The loop's sources — arrivals, control events,
 // resolved completions, and in-flight groups bounded from below — are
 // indexed: min-heaps order completions and completion bounds, an
 // idle-device heap yields the fastest free device in placement order,
@@ -45,9 +48,9 @@
 // reference. Modeled computes completions analytically from solo
 // profiles and the interference matrix (each member's solo duration
 // times its match.MemberSlowdown under the group's class pattern) with
-// zero simulations: the model the dispatcher already trusts for lower
-// bounds, preemption tests and checkpoint accounting, promoted to
-// authoritative. Hybrid simulates the first HybridWarm occurrences of
+// zero simulations, one member at a time through modeledEnd: the model
+// the dispatcher already trusts for lower bounds, preemption tests and
+// checkpoint accounting, promoted to authoritative. Hybrid simulates the first HybridWarm occurrences of
 // each (device type, composition), calibrates the model against them,
 // and serves the rest from the calibrated model, reporting the fidelity
 // delta in Result.Summary.

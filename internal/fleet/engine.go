@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/match"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -69,71 +68,16 @@ func ParseEngine(s string) (EngineMode, error) {
 // composition) the Hybrid engine simulates before trusting the model.
 const DefaultHybridWarm = 2
 
-// modelReport predicts a group's execution analytically, in the shape
-// RunGroup would report it: per-member end cycles and retired
-// instructions. Member i's end is its solo duration scaled by the
-// interference matrix's predicted slowdown under the group's class
-// pattern (Equation 3.4's s_i ingredient); a lone member runs at solo
-// speed exactly, so Serial dispatch is identical under every engine.
-// calib scales the modeled ends (1 = the raw model; the Hybrid engine
-// passes the mean observed actual/model ratio for the composition).
-func (f *Fleet) modelReport(members []*job, t int, calib float64) (sched.GroupReport, error) {
-	m := f.types[t].Matrix()
-	var pat match.Pattern
-	if m != nil && len(members) > 1 {
-		pat = make(match.Pattern, len(members))
-		for i, j := range members {
-			pat[i] = j.apps[t].Class
-		}
-	}
-	rep := sched.GroupReport{}
-	for i, j := range members {
-		sp := j.solo[t]
-		if !sp.ok {
-			return sched.GroupReport{}, fmt.Errorf("fleet: no solo profile for %q on %s (modeled engine needs a calibrated universe)",
-				j.name(), f.types[t].Config().Name)
-		}
-		s := 1.0
-		if pat != nil {
-			s = match.MemberSlowdown(m, pat, i)
-		}
-		end := uint64(math.Ceil(float64(sp.cycles) * s * calib))
-		if end < 1 {
-			end = 1
-		}
-		rep.Apps = append(rep.Apps, j.name())
-		rep.Classes = append(rep.Classes, j.apps[t].Class)
-		rep.Stats = append(rep.Stats, stats.App{
-			Name:               j.name(),
-			ThreadInstructions: sp.instrs,
-			EndCycle:           end,
-			Done:               true,
-		})
-		if end > rep.Cycles {
-			rep.Cycles = end
-		}
-	}
-	return rep, nil
-}
-
-// modelReportInto is modelReport rewritten for the steady state: the
-// prediction lands in the flight's own (recycled) report buffers and
-// the class pattern in the dispatcher's scratch, so a modeled dispatch
-// allocates nothing once the pools are warm. Semantics are identical
-// to modelReport — same solo data, same slowdowns, same rounding.
+// modelReportInto predicts fl's execution analytically into the
+// flight's own (recycled) report buffers, in the shape RunGroup would
+// report it: per-member end cycles (modeledEnd) and retired
+// instructions. With the class pattern in the dispatcher's scratch, a
+// modeled dispatch allocates nothing once the pools are warm.
 //
 //simlint:hotpath
 func (d *dispatcher) modelReportInto(fl *inflight, calib float64) error {
-	f := d.f
 	t := fl.typ
-	m := f.types[t].Matrix()
-	d.patBuf = d.patBuf[:0]
-	if m != nil && len(fl.jobs) > 1 {
-		for _, j := range fl.jobs {
-			d.patBuf = append(d.patBuf, j.apps[t].Class)
-		}
-	}
-	pat := d.patBuf
+	pat := d.groupPattern(fl)
 	rep := &fl.rep
 	rep.Apps = rep.Apps[:0]
 	rep.Classes = rep.Classes[:0]
@@ -141,23 +85,15 @@ func (d *dispatcher) modelReportInto(fl *inflight, calib float64) error {
 	rep.Cycles = 0
 	rep.SMMoves = 0
 	for i, j := range fl.jobs {
-		sp := j.solo[t]
-		if !sp.ok {
-			return d.missingSolo(j, t)
-		}
-		s := 1.0
-		if len(pat) > 0 {
-			s = match.MemberSlowdown(m, pat, i)
-		}
-		end := uint64(math.Ceil(float64(sp.cycles) * s * calib))
-		if end < 1 {
-			end = 1
+		end, err := d.modeledEnd(fl, pat, i, calib)
+		if err != nil {
+			return err
 		}
 		rep.Apps = append(rep.Apps, j.name())
 		rep.Classes = append(rep.Classes, j.apps[t].Class)
 		rep.Stats = append(rep.Stats, stats.App{
 			Name:               j.name(),
-			ThreadInstructions: sp.instrs,
+			ThreadInstructions: j.solo[t].instrs,
 			EndCycle:           end,
 			Done:               true,
 		})
@@ -165,6 +101,71 @@ func (d *dispatcher) modelReportInto(fl *inflight, calib float64) error {
 			rep.Cycles = end
 		}
 	}
+	return nil
+}
+
+// groupPattern fills the dispatcher's reused scratch with fl's class
+// pattern on its device type, as modeledEnd reads it. The pattern stays
+// empty for a lone member or a type without a matrix.
+//
+//simlint:hotpath
+func (d *dispatcher) groupPattern(fl *inflight) match.Pattern {
+	d.patBuf = d.patBuf[:0]
+	if d.f.types[fl.typ].Matrix() != nil && len(fl.jobs) > 1 {
+		for _, j := range fl.jobs {
+			d.patBuf = append(d.patBuf, j.apps[fl.typ].Class)
+		}
+	}
+	return d.patBuf
+}
+
+// modeledEnd is the analytic model of one member: member i's end cycle
+// in fl is its solo duration on fl's device type scaled by the
+// interference matrix's predicted slowdown under the group's class
+// pattern pat (Equation 3.4's s_i ingredient) and by calib (1 = the raw
+// model; the Hybrid engine passes the mean observed actual/model ratio
+// for the composition). With an empty pat the member runs at solo speed
+// exactly, so Serial dispatch is identical under every engine. Both the
+// modeled dispatch and the Hybrid calibration read the model through
+// this one helper.
+//
+//simlint:hotpath
+func (d *dispatcher) modeledEnd(fl *inflight, pat match.Pattern, i int, calib float64) (uint64, error) {
+	j := fl.jobs[i]
+	sp := j.solo[fl.typ]
+	if !sp.ok {
+		return 0, d.missingSolo(j, fl.typ)
+	}
+	s := 1.0
+	if len(pat) > 0 {
+		s = match.MemberSlowdown(d.f.types[fl.typ].Matrix(), pat, i)
+	}
+	end := uint64(math.Ceil(float64(sp.cycles) * s * calib))
+	if end < 1 {
+		end = 1
+	}
+	return end, nil
+}
+
+// calibrate folds a resolved Hybrid warm-up flight into its
+// composition's calibration: the simulated per-member ends against the
+// raw (uncalibrated) model's predictions for the same group. The
+// simulated ends are deliberately not checkpoint-scaled: the model
+// predicts full runs and the checkpoint scaling is applied downstream
+// of both engines.
+func (d *dispatcher) calibrate(cal *hybridCal, fl *inflight) error {
+	pat := d.groupPattern(fl)
+	actual := make([]uint64, len(fl.jobs))
+	predicted := make([]uint64, len(fl.jobs))
+	for i := range fl.jobs {
+		end, err := d.modeledEnd(fl, pat, i, 1)
+		if err != nil {
+			return err
+		}
+		actual[i] = fl.reportedEnd(i)
+		predicted[i] = end
+	}
+	cal.observe(actual, predicted)
 	return nil
 }
 

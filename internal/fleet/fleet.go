@@ -333,24 +333,28 @@ type Fleet struct {
 	order    []int
 	orderPos []int
 
-	// Memoized matcher inputs (see buildMatchTables): the class-pattern
-	// lists for every group size up to NC and each pattern's efficiency
-	// per device type. Nil outside the ILP policies (or for NC outside
-	// the packed-key range), where the direct computation is used
-	// instead. All read-only after New — the mutable solve memo lives on
-	// each event loop's dispatcher so shards never share writes.
-	patIndex   map[uint64]int
+	// Memoized matcher inputs (see buildMatchTables): every class
+	// pattern of 2 to NC members, indexed by its class-count vector
+	// (patIndex), and each pattern's efficiency per device type (effAll;
+	// ncPatterns and ncEff are the size-NC tail the solver reads). Built
+	// for every ILP run with NC >= 2 and nil otherwise, since no other
+	// run forms matched groups. All read-only after New — the mutable
+	// solve memo lives on each event loop's dispatcher so shards never
+	// share writes.
+	patIndex   map[[classify.NumClasses]int]int
 	effAll     [][]float64
 	ncPatterns []match.Pattern
 	ncEff      [][]float64
 
-	// meanSlow[t][cls] is the mean co-run slowdown the type-t
-	// interference matrix predicts for a class-cls job over uniform
-	// NC-1-partner company, averaged across partner classes — the
-	// modeled admission predictor's per-job inflation factor (resolve
-	// bakes it into job.coEst). Nil when any type lacks a matrix or
-	// NC < 2; coEst then equals soloEst.
-	meanSlow [][]float64
+	// meanSlow[t][cls] and worstSlow[t][cls] are the co-run slowdowns
+	// the type-t interference matrix predicts for a class-cls job in
+	// uniform company (NC-1 partners of one class), the mean and the
+	// worst over partner classes (see buildCompanySlow). worstSlow[t] is
+	// nil when type t has no matrix or NC < 2; meanSlow is nil then too,
+	// and whenever any type lacks a matrix (job.coEst then equals
+	// soloEst).
+	meanSlow  [][]float64
+	worstSlow [][]float64
 }
 
 // New builds a fleet over the configured roster.
@@ -381,41 +385,54 @@ func New(cfg Config) (*Fleet, error) {
 		f.orderPos[d] = pos
 	}
 	f.buildMatchTables()
-	f.buildMeanSlow()
+	f.buildCompanySlow()
 	return f, nil
 }
 
-// buildMeanSlow precomputes the per-type per-class mean co-run slowdown
-// tables the modeled admission predictor reads. It mirrors
-// coRunCycles's uniform-company patterns but takes the mean over
-// partner classes instead of the worst case: admission wants the
-// expected backlog drain time, not deadline-protection pessimism.
-func (f *Fleet) buildMeanSlow() {
+// buildCompanySlow precomputes the uniform-company slowdown tables:
+// for each type and class, MemberSlowdown of one class-cls member among
+// NC-1 partners of class c, for every partner class c. The mean feeds
+// the modeled admission predictor (resolve bakes it into job.coEst),
+// which wants the expected backlog drain time; the worst case, at least
+// 1, feeds the preemption check (coRunCycles), which wants
+// deadline-protection pessimism.
+func (f *Fleet) buildCompanySlow() {
+	f.worstSlow = make([][]float64, len(f.types))
 	if f.cfg.NC < 2 {
 		return
 	}
-	tables := make([][]float64, len(f.types))
+	mean := make([][]float64, len(f.types))
+	p := make(match.Pattern, f.cfg.NC)
 	for t, pipe := range f.types {
 		m := pipe.Matrix()
 		if m == nil {
-			return
+			mean = nil
+			continue
 		}
-		table := make([]float64, classify.NumClasses)
-		p := make(match.Pattern, f.cfg.NC)
+		avg := make([]float64, classify.NumClasses)
+		worst := make([]float64, classify.NumClasses)
 		for cls := classify.Class(0); cls < classify.NumClasses; cls++ {
-			sum := 0.0
+			sum, w := 0.0, 1.0
 			for c := classify.Class(0); c < classify.NumClasses; c++ {
 				p[0] = cls
 				for i := 1; i < f.cfg.NC; i++ {
 					p[i] = c
 				}
-				sum += match.MemberSlowdown(m, p, 0)
+				s := match.MemberSlowdown(m, p, 0)
+				sum += s
+				if s > w {
+					w = s
+				}
 			}
-			table[cls] = sum / float64(classify.NumClasses)
+			avg[cls] = sum / float64(classify.NumClasses)
+			worst[cls] = w
 		}
-		tables[t] = table
+		f.worstSlow[t] = worst
+		if mean != nil {
+			mean[t] = avg
+		}
 	}
-	f.meanSlow = tables
+	f.meanSlow = mean
 }
 
 // NewHomogeneous builds a fleet of count identical devices over one

@@ -363,7 +363,7 @@ func (l *loop) resolveFlight(fl *inflight) error {
 			fl.complete, fl.earliest, fl.device)
 	}
 	if fl.calKey != "" {
-		if err := l.f.calibrate(l.hybrid[fl.calKey], fl); err != nil {
+		if err := l.disp.calibrate(l.hybrid[fl.calKey], fl); err != nil {
 			return err
 		}
 	}

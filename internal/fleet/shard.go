@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -31,7 +33,7 @@ import (
 //     id, counters sum, eviction records sort by their (cycle, device)
 //     total order, job records are emitted in global arrival order, and
 //     time-series rows sum column by column on the shared interval grid
-//     (mergeShardSeries).
+//     (mergeSeries).
 
 // DefaultShardEpoch is the router's synchronization quantum (fleet
 // cycles) when Config.ShardEpoch is unset. Small epochs track load
@@ -57,7 +59,7 @@ func (l *loop) load() int {
 // run inside runAll calls and the coordinator only touches shard state
 // outside them, so the two sides never race; the WaitGroup barrier
 // also orders memory between coordinator and shards.
-func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
+func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) ([]*loop, error) {
 	chaos := f.resolveChaos()
 	shards := make([]*loop, f.cfg.Shards)
 	for i := range shards {
@@ -123,7 +125,7 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
 		}
 		if es > t {
 			if err := runAll(es); err != nil {
-				return Result{}, err
+				return nil, err
 			}
 			t = es
 		}
@@ -143,41 +145,54 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) (Result, error) {
 			loads[best]++
 		}
 		if err := runAll(ee); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		t = ee
 	}
-	if err := runAll(inf); err != nil {
-		return Result{}, err
-	}
-	return f.mergeShards(shards, jobs)
+	return shards, runAll(inf)
 }
 
-// mergeShards folds the drained shards into one Result, identical in
-// shape to a lone loop's.
-func (f *Fleet) mergeShards(shards []*loop, jobs []*job) (Result, error) {
+// collect folds a run's drained event loops — the lone loop of an
+// unsharded run or every shard — into one Result. Every loop accounts
+// by global device id, so busy time and counters sum and the makespan
+// is the latest. A lone loop's eviction records stay in event order;
+// across shards they sort by (cycle, device), a total order because
+// within a shard records are in event order and one device evicts at
+// most one flight per cycle. The Hybrid fidelity delta folds every
+// loop's calibrations in key order, so it does not depend on map
+// iteration.
+func (f *Fleet) collect(loops []*loop, jobs []*job) (Result, error) {
 	res := f.newResult()
-	res.Shards = f.cfg.Shards
-	for _, s := range shards {
-		for d, busy := range s.res.DeviceBusy {
+	if len(loops) > 1 {
+		res.Shards = len(loops)
+	}
+	samples, delta := 0, 0.0
+	for _, l := range loops {
+		for d, busy := range l.res.DeviceBusy {
 			res.DeviceBusy[d] += busy
 		}
-		res.Makespan = max(res.Makespan, s.res.Makespan)
-		res.Counters.add(s.res.Counters)
-		res.Evictions = append(res.Evictions, s.res.Evictions...)
-	}
-	// Within a shard eviction records are in event order, and one device
-	// evicts at most one flight per cycle, so (cycle, device) is a total
-	// order across shards.
-	sort.SliceStable(res.Evictions, func(i, j int) bool {
-		a, b := res.Evictions[i], res.Evictions[j]
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
+		res.Makespan = max(res.Makespan, l.res.Makespan)
+		res.Counters.add(l.res.Counters)
+		res.Evictions = append(res.Evictions, l.res.Evictions...)
+		for _, key := range slices.Sorted(maps.Keys(l.hybrid)) {
+			samples += l.hybrid[key].n
+			delta += l.hybrid[key].delta
 		}
-		return a.Device < b.Device
-	})
+	}
+	if len(loops) > 1 {
+		sort.SliceStable(res.Evictions, func(i, j int) bool {
+			a, b := res.Evictions[i], res.Evictions[j]
+			if a.Cycle != b.Cycle {
+				return a.Cycle < b.Cycle
+			}
+			return a.Device < b.Device
+		})
+	}
+	if samples > 0 {
+		res.ModelDelta = delta / float64(samples)
+	}
 	if f.cfg.SampleEvery > 0 {
-		series, err := mergeShardSeries(f, shards, res.Makespan)
+		series, err := mergeSeries(f, loops, res.Makespan)
 		if err != nil {
 			return Result{}, err
 		}

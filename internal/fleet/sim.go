@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/classify"
 	"repro/internal/match"
 	"repro/internal/sched"
 )
@@ -182,7 +181,8 @@ func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
 // Run executes the arrival stream on the fleet and returns the per-job
 // and per-device accounting. An unsharded run drives one event loop
 // over the whole roster to completion (loop.go); Shards > 1 hands the
-// jobs to the epoch coordinator of shard.go.
+// jobs to the epoch coordinator of shard.go. Either way the drained
+// loops are assembled into the Result by one collect step.
 func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 	closed := f.cfg.Closed.Enabled
 	if closed && len(arrivals) > 0 {
@@ -204,32 +204,22 @@ func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	var loops []*loop
 	if f.cfg.Shards > 1 {
-		return f.runSharded(jobs, perClient)
+		loops, err = f.runSharded(jobs, perClient)
+	} else {
+		l := f.newLoop(0, perClient, f.resolveChaos())
+		if !closed {
+			l.arr, l.remaining = jobs, len(jobs)
+		}
+		l.runUntil(math.MaxUint64)
+		l.wait()
+		loops, err = []*loop{l}, l.err
 	}
-	l := f.newLoop(0, perClient, f.resolveChaos())
-	if !closed {
-		l.arr, l.remaining = jobs, len(jobs)
+	if err != nil {
+		return Result{}, err
 	}
-	l.runUntil(math.MaxUint64)
-	l.wait()
-	if l.err != nil {
-		return Result{}, l.err
-	}
-	res := &l.res
-	if l.col != nil {
-		res.Series = l.col.finish(res.Makespan, &l.queue, l.flightOf, res)
-	}
-	samples, delta := 0, 0.0
-	for _, cal := range l.hybrid {
-		samples += cal.n
-		delta += cal.delta
-	}
-	if samples > 0 {
-		res.ModelDelta = delta / float64(samples)
-	}
-	res.Jobs = f.jobRecords(jobs)
-	return *res, nil
+	return f.collect(loops, jobs)
 }
 
 // newResult is an empty Result carrying the run's configuration header
@@ -296,31 +286,6 @@ func (f *Fleet) jobRecord(j *job) JobRecord {
 	}
 	rec.Class = j.apps[t].Class
 	return rec
-}
-
-// calibrate folds a resolved Hybrid warm-up flight into its
-// composition's calibration: the simulated per-member ends against the
-// raw (uncalibrated) model's predictions for the same group.
-func (f *Fleet) calibrate(cal *hybridCal, fl *inflight) error {
-	model, err := f.modelReport(fl.jobs, fl.typ, 1)
-	if err != nil {
-		return err
-	}
-	actual := make([]uint64, len(fl.jobs))
-	predicted := make([]uint64, len(fl.jobs))
-	for i := range fl.jobs {
-		// Raw simulated ends (group makespan fallback), deliberately not
-		// checkpoint-scaled: the model predicts full runs and the
-		// checkpoint scaling is applied downstream of both engines.
-		e := fl.rep.Cycles
-		if i < len(fl.rep.Stats) && fl.rep.Stats[i].EndCycle > 0 {
-			e = fl.rep.Stats[i].EndCycle
-		}
-		actual[i] = e
-		predicted[i] = model.Stats[i].EndCycle
-	}
-	cal.observe(actual, predicted)
-	return nil
 }
 
 // preemptVictim decides whether evicting a running group saves the
@@ -411,38 +376,25 @@ func (f *Fleet) preemptVictim(trigger *job, flightOf []*inflight, ctl *loopCtl, 
 }
 
 // coRunCycles estimates the trigger's co-run duration on device type t:
-// its remaining solo duration scaled by the least favorable pairwise
-// slowdown the interference matrix predicts, or the plain solo when no
-// matrix is calibrated. Deadline protection deliberately assumes the
-// worst co-partner: the per-class matrix entries are averages, so an
-// optimistic estimate predicts "will meet it" for jobs the simulation
-// then misses by a small margin, and the rescue never fires.
+// its remaining solo duration scaled by the least favorable
+// uniform-company slowdown the interference matrix predicts (worstSlow),
+// or the plain solo when no matrix is calibrated. Deadline protection
+// deliberately assumes the worst co-partner: the per-class matrix
+// entries are averages, so an optimistic estimate predicts "will meet
+// it" for jobs the simulation then misses by a small margin, and the
+// rescue never fires. The worst case is modeled as NC-1 partners of one
+// class — it covers the pairwise and triple matrix entries exactly and
+// stays O(NT) rather than enumerating mixed partner multisets.
 func (f *Fleet) coRunCycles(j *job, t int) (uint64, bool) {
 	solo, ok := f.soloCycles(j, t)
 	if !ok {
 		return 0, false
 	}
-	m := f.types[t].Matrix()
-	if m == nil || f.cfg.NC < 2 {
+	worst := f.worstSlow[t]
+	if worst == nil {
 		return solo, true
 	}
-	// The worst case is modeled as NC-1 partners of one class (the
-	// class whose uniform company slows this job most) — it covers the
-	// pairwise and triple matrix entries exactly and stays O(NT) rather
-	// than enumerating mixed partner multisets.
-	cls := j.apps[t].Class
-	worst := 1.0
-	for c := classify.Class(0); c < classify.NumClasses; c++ {
-		p := make(match.Pattern, f.cfg.NC)
-		p[0] = cls
-		for i := 1; i < f.cfg.NC; i++ {
-			p[i] = c
-		}
-		if s := match.MemberSlowdown(m, p, 0); s > worst {
-			worst = s
-		}
-	}
-	return uint64(float64(solo) * worst), true
+	return uint64(float64(solo) * worst[j.apps[t].Class]), true
 }
 
 // chaosTriggerID is the EvictionRecord.TriggerJob sentinel for
@@ -572,18 +524,22 @@ func (f *Fleet) soloCycles(j *job, t int) (uint64, bool) {
 	return c, true
 }
 
-// memberEnd is member i's checkpoint-scaled completion offset within
-// flight fl: its per-member end (simulated or modeled, falling back to
-// the group makespan) through the effective-cycles scaling. Both the
-// event loop's completion ordering (flightCycles) and the final
-// accounting (retire) read ends through this one helper, so the two can
-// never disagree.
-func (f *Fleet) memberEnd(fl *inflight, i int) uint64 {
-	e := fl.rep.Cycles
+// reportedEnd is member i's end cycle as fl's report gives it
+// (simulated or modeled), falling back to the group makespan.
+func (fl *inflight) reportedEnd(i int) uint64 {
 	if i < len(fl.rep.Stats) && fl.rep.Stats[i].EndCycle > 0 {
-		e = fl.rep.Stats[i].EndCycle
+		return fl.rep.Stats[i].EndCycle
 	}
-	return f.effectiveCycles(fl.jobs[i], e)
+	return fl.rep.Cycles
+}
+
+// memberEnd is member i's checkpoint-scaled completion offset within
+// flight fl: its reported end through the effective-cycles scaling.
+// Both the event loop's completion ordering (flightCycles) and the
+// final accounting (retire) read ends through this one helper, so the
+// two can never disagree.
+func (f *Fleet) memberEnd(fl *inflight, i int) uint64 {
+	return f.effectiveCycles(fl.jobs[i], fl.reportedEnd(i))
 }
 
 // flightCycles is the group's effective device occupancy: the max of

@@ -267,27 +267,27 @@ func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Resu
 	s.lastEdge = edge
 }
 
-// mergeShardSeries folds the per-shard samplers into one fleet-wide
-// series, row by row in interval order. Every shard samples the same
-// edge grid (same interval, clocks start at 0) over the same global
-// device columns, and is finished against the same horizon, so row r
-// means the same cycle everywhere. Every column past the cycle is a
-// gauge of disjoint state or a counter of disjoint events — a device a
-// shard does not own reads zero there — so the column sum is exactly
-// what a single sampler over the merged event stream would have
-// produced.
-func mergeShardSeries(f *Fleet, shards []*loop, makespan uint64) (*obs.Series, error) {
+// mergeSeries folds the event loops' samplers (the lone loop's, or
+// one per shard) into one fleet-wide series, row by row in interval
+// order. Every loop samples the same edge grid (same interval, clocks
+// start at 0) over the same global device columns, and is finished
+// against the same horizon, so row r means the same cycle everywhere.
+// Every column past the cycle is a gauge of disjoint state or a counter
+// of disjoint events — a device a loop does not own reads zero there —
+// so the column sum is exactly what a single sampler over the merged
+// event stream would have produced.
+func mergeSeries(f *Fleet, loops []*loop, makespan uint64) (*obs.Series, error) {
 	merged := newSampler(f.cfg.SampleEvery, len(f.devType), f.ctlEnabled(), f.cfg.Chaos.Enabled)
 	// Control events (abandons, retries, scale ticks) can fire after a
-	// shard's last completion, pushing its sampler past the fleet-wide
-	// makespan; finishing every shard against the furthest horizon keeps
-	// the per-shard row grids identical.
+	// loop's last completion, pushing its sampler past the fleet-wide
+	// makespan; finishing every loop against the furthest horizon keeps
+	// the per-loop row grids identical.
 	horizon := makespan
-	for _, s := range shards {
+	for _, s := range loops {
 		horizon = max(horizon, s.col.lastEdge)
 	}
-	parts := make([]*obs.Series, len(shards))
-	for i, s := range shards {
+	parts := make([]*obs.Series, len(loops))
+	for i, s := range loops {
 		parts[i] = s.col.finish(horizon, &s.queue, s.flightOf, &s.res)
 	}
 	rows := parts[0].Rows()
