@@ -66,7 +66,7 @@ func (s *Suite) FleetSweep() (Artifact, error) {
 	for _, m := range []string{"throughput", "mean_util", "turn_p95_kcyc", "miss_rate", "evictions"} {
 		row := Row{Label: m}
 		for _, c := range art.Cells {
-			v, ok := metricValue(art, c, m)
+			v, ok := art.Value(c, m)
 			if !ok {
 				return Artifact{}, fmt.Errorf("FleetSweep: metric %q missing from sweep artifact", m)
 			}
@@ -96,14 +96,4 @@ func paramIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// metricValue reads one metric of one cell from a sweep artifact.
-func metricValue(art *sweep.Artifact, c sweep.CellResult, name string) (float64, bool) {
-	for i, m := range art.Metrics {
-		if m == name && i < len(c.Values) {
-			return c.Values[i], true
-		}
-	}
-	return 0, false
 }

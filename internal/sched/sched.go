@@ -147,9 +147,9 @@ type Scheduler struct {
 	prof   *profile.Profiler
 	matrix *interference.Matrix
 	smra   SMRAConfig
-	// satPoints memoizes profile-based SM demands per benchmark.
-	satMu     sync.Mutex
-	satPoints map[string]int
+	// satPoints memoizes profile-based SM demands per benchmark,
+	// deduplicating concurrent profiling of the same one.
+	satPoints *memo.Table[int]
 	// groups caches group executions, deduplicating concurrent runs of
 	// the same group. Simulations are fully deterministic, so a group
 	// with the same members, the same SM partition and the same
@@ -167,7 +167,7 @@ func New(cfg config.GPUConfig, prof *profile.Profiler, matrix *interference.Matr
 		prof:      prof,
 		matrix:    matrix,
 		smra:      DefaultSMRAConfig(cfg),
-		satPoints: make(map[string]int),
+		satPoints: memo.NewTable[int](),
 		groups:    memo.NewTable[GroupReport](),
 	}
 }
@@ -517,33 +517,24 @@ func (s *Scheduler) partition(g Group, policy Policy) ([][]int, error) {
 // and returns the smallest count achieving 90% of its full-device IPC —
 // the offline demand estimate the profile-based policy allocates by.
 func (s *Scheduler) saturationPoint(params kernel.Params) (int, error) {
-	s.satMu.Lock()
-	v, ok := s.satPoints[params.Name]
-	s.satMu.Unlock()
-	if ok {
-		return v, nil
-	}
-	full, err := s.prof.Run(params, 0)
-	if err != nil {
-		return 0, err
-	}
-	point := s.cfg.NumSMs
-	for _, frac := range []int{6, 4, 3, 2} { // NumSMs/6 .. NumSMs/2
-		n := s.cfg.NumSMs / frac
-		if n < 1 {
-			continue
-		}
-		r, err := s.prof.Run(params, n)
+	return s.satPoints.Do(params.Name, func() (int, error) {
+		full, err := s.prof.Run(params, 0)
 		if err != nil {
 			return 0, err
 		}
-		if r.IPC >= 0.9*full.IPC {
-			point = n
-			break
+		for _, frac := range []int{6, 4, 3, 2} { // NumSMs/6 .. NumSMs/2
+			n := s.cfg.NumSMs / frac
+			if n < 1 {
+				continue
+			}
+			r, err := s.prof.Run(params, n)
+			if err != nil {
+				return 0, err
+			}
+			if r.IPC >= 0.9*full.IPC {
+				return n, nil
+			}
 		}
-	}
-	s.satMu.Lock()
-	s.satPoints[params.Name] = point
-	s.satMu.Unlock()
-	return point, nil
+		return s.cfg.NumSMs, nil
+	})
 }

@@ -129,9 +129,9 @@ func Load(r io.Reader) (*Artifact, error) {
 	return a, nil
 }
 
-// metric returns cell c's value for the named metric in a, or false
+// Value returns cell c's value for the named metric in a, or false
 // when a's metric set does not include it.
-func (a *Artifact) metric(c CellResult, name string) (float64, bool) {
+func (a *Artifact) Value(c CellResult, name string) (float64, bool) {
 	for i, m := range a.Metrics {
 		if m == name && i < len(c.Values) {
 			return c.Values[i], true
@@ -176,16 +176,16 @@ func Delta(base, cur *Artifact, w io.Writer) error {
 		// The new artifact's metric order, then baseline-only metrics.
 		metrics := append([]string(nil), cur.Metrics...)
 		for _, m := range base.Metrics {
-			if _, ok := cur.metric(c, m); !ok {
+			if _, ok := cur.Value(c, m); !ok {
 				metrics = append(metrics, m)
 			}
 		}
 		for _, m := range metrics {
-			nv, hasN := cur.metric(c, m)
+			nv, hasN := cur.Value(c, m)
 			var ov float64
 			hasO := false
 			if hasBase {
-				ov, hasO = base.metric(b, m)
+				ov, hasO = base.Value(b, m)
 			}
 			label := fmt.Sprintf("%s %s", c.key(), m)
 			switch {

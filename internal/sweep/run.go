@@ -121,7 +121,7 @@ func (r Runner) Run(g Grid) (*Artifact, error) {
 			return nil, fmt.Errorf("sweep: cell %v: %w", cells[i].Params(), err)
 		}
 	}
-	art := &Artifact{Params: append([]string(nil), ParamColumns...), Metrics: append([]string(nil), MetricColumns...)}
+	art := &Artifact{Params: append([]string(nil), ParamColumns...), Metrics: MetricColumns()}
 	for i, c := range cells {
 		art.Cells = append(art.Cells, CellResult{Params: c.Params(), Values: values[i]})
 	}

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 // Grid is a sweep specification: the axes to cross plus the scalar
@@ -301,38 +302,73 @@ func (g Grid) Expand() ([]Cell, error) {
 	return cells, nil
 }
 
-// MetricColumns names every cell's collected metrics, in the order
-// Metrics returns them. Cycle-valued metrics are reported in kilocycles
-// to match the summary's spelling.
-var MetricColumns = []string{
-	"throughput", "makespan_kcyc", "mean_util",
-	"wait_p50_kcyc", "wait_p95_kcyc", "wait_p99_kcyc",
-	"turn_p50_kcyc", "turn_p95_kcyc", "turn_p99_kcyc",
-	"latency_jobs", "misses", "miss_rate", "evictions", "wasted_kcyc",
-	"groups", "groups_ilp", "groups_cycle", "groups_modeled",
-	"submitted", "completed", "rejected", "degraded", "abandoned", "retried",
-	"provisions", "decommissions",
-	"failures", "drains", "restores", "chaos_evictions",
+// cellRun is one finished cell as the metric table reads it: the
+// run's result plus the wait and turnaround summaries, computed once
+// because six metrics share them (each summary sorts every job's
+// sample).
+type cellRun struct {
+	fleet.Result
+	wait, turn stats.Summary
 }
 
-// Metrics projects one run's result onto MetricColumns. The control
+// metrics is every cell's collected metric in column order: its name
+// and its projection of the finished cell. Cycle-valued metrics are
+// reported in kilocycles to match the summary's spelling. The control
 // counters (submitted through decommissions) are zero on cells without
 // a control surface — the submission ledger only runs when closed-loop
 // traffic, admission control or the autoscaler is configured.
-func Metrics(res fleet.Result) []float64 {
-	wait := res.WaitSummary()
-	turn := res.TurnaroundSummary()
-	return []float64{
-		res.Throughput(), float64(res.Makespan) / 1000, res.MeanUtilization(),
-		wait.P50, wait.P95, wait.P99,
-		turn.P50, turn.P95, turn.P99,
-		float64(res.LatencyJobs()), float64(res.DeadlineMisses()), res.MissRate(),
-		float64(len(res.Evictions)), float64(res.WastedCycles()) / 1000,
-		float64(res.Groups), float64(res.ILPGroups), float64(res.CycleGroups), float64(res.ModeledGroups),
-		float64(res.Submitted), float64(res.CompletedJobs()), float64(res.Rejected),
-		float64(res.Degraded), float64(res.Abandoned), float64(res.Retried),
-		float64(res.Provisions), float64(res.Decommissions),
-		float64(res.Failures), float64(res.Drains), float64(res.Restores),
-		float64(res.ChaosEvictions),
+var metrics = []struct {
+	name  string
+	value func(*cellRun) float64
+}{
+	{"throughput", func(r *cellRun) float64 { return r.Throughput() }},
+	{"makespan_kcyc", func(r *cellRun) float64 { return float64(r.Makespan) / 1000 }},
+	{"mean_util", func(r *cellRun) float64 { return r.MeanUtilization() }},
+	{"wait_p50_kcyc", func(r *cellRun) float64 { return r.wait.P50 }},
+	{"wait_p95_kcyc", func(r *cellRun) float64 { return r.wait.P95 }},
+	{"wait_p99_kcyc", func(r *cellRun) float64 { return r.wait.P99 }},
+	{"turn_p50_kcyc", func(r *cellRun) float64 { return r.turn.P50 }},
+	{"turn_p95_kcyc", func(r *cellRun) float64 { return r.turn.P95 }},
+	{"turn_p99_kcyc", func(r *cellRun) float64 { return r.turn.P99 }},
+	{"latency_jobs", func(r *cellRun) float64 { return float64(r.LatencyJobs()) }},
+	{"misses", func(r *cellRun) float64 { return float64(r.DeadlineMisses()) }},
+	{"miss_rate", func(r *cellRun) float64 { return r.MissRate() }},
+	{"evictions", func(r *cellRun) float64 { return float64(len(r.Evictions)) }},
+	{"wasted_kcyc", func(r *cellRun) float64 { return float64(r.WastedCycles()) / 1000 }},
+	{"groups", func(r *cellRun) float64 { return float64(r.Groups) }},
+	{"groups_ilp", func(r *cellRun) float64 { return float64(r.ILPGroups) }},
+	{"groups_cycle", func(r *cellRun) float64 { return float64(r.CycleGroups) }},
+	{"groups_modeled", func(r *cellRun) float64 { return float64(r.ModeledGroups) }},
+	{"submitted", func(r *cellRun) float64 { return float64(r.Submitted) }},
+	{"completed", func(r *cellRun) float64 { return float64(r.CompletedJobs()) }},
+	{"rejected", func(r *cellRun) float64 { return float64(r.Rejected) }},
+	{"degraded", func(r *cellRun) float64 { return float64(r.Degraded) }},
+	{"abandoned", func(r *cellRun) float64 { return float64(r.Abandoned) }},
+	{"retried", func(r *cellRun) float64 { return float64(r.Retried) }},
+	{"provisions", func(r *cellRun) float64 { return float64(r.Provisions) }},
+	{"decommissions", func(r *cellRun) float64 { return float64(r.Decommissions) }},
+	{"failures", func(r *cellRun) float64 { return float64(r.Failures) }},
+	{"drains", func(r *cellRun) float64 { return float64(r.Drains) }},
+	{"restores", func(r *cellRun) float64 { return float64(r.Restores) }},
+	{"chaos_evictions", func(r *cellRun) float64 { return float64(r.ChaosEvictions) }},
+}
+
+// MetricColumns names every cell's collected metrics, in artifact
+// column order.
+func MetricColumns() []string {
+	names := make([]string, len(metrics))
+	for i, m := range metrics {
+		names[i] = m.name
 	}
+	return names
+}
+
+// Metrics projects one run's result onto MetricColumns.
+func Metrics(res fleet.Result) []float64 {
+	r := &cellRun{Result: res, wait: res.WaitSummary(), turn: res.TurnaroundSummary()}
+	values := make([]float64, len(metrics))
+	for i, m := range metrics {
+		values[i] = m.value(r)
+	}
+	return values
 }

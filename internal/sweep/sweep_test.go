@@ -147,10 +147,10 @@ func TestSweepSmokeDeterministic(t *testing.T) {
 	// Sanity on content: every cell completed all jobs somewhere — the
 	// groups metric is positive, throughput is positive.
 	for _, c := range loaded.Cells {
-		if v, ok := loaded.metric(c, "throughput"); !ok || v <= 0 {
+		if v, ok := loaded.Value(c, "throughput"); !ok || v <= 0 {
 			t.Errorf("cell %v: throughput %v", c.Params, v)
 		}
-		if v, ok := loaded.metric(c, "groups"); !ok || v <= 0 {
+		if v, ok := loaded.Value(c, "groups"); !ok || v <= 0 {
 			t.Errorf("cell %v: groups %v", c.Params, v)
 		}
 	}
@@ -205,13 +205,13 @@ func TestSweepClosedLoopAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range loaded.Cells {
-		sub, ok := loaded.metric(c, "submitted")
+		sub, ok := loaded.Value(c, "submitted")
 		if !ok || sub < 48 {
 			t.Errorf("cell %v: submitted %v, want >= 48", c.Params, sub)
 		}
-		comp, _ := loaded.metric(c, "completed")
-		rej, _ := loaded.metric(c, "rejected")
-		aband, _ := loaded.metric(c, "abandoned")
+		comp, _ := loaded.Value(c, "completed")
+		rej, _ := loaded.Value(c, "rejected")
+		aband, _ := loaded.Value(c, "abandoned")
 		if sub != comp+rej+aband {
 			t.Errorf("cell %v: conservation broken: %v != %v + %v + %v", c.Params, sub, comp, rej, aband)
 		}
