@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,19 +21,43 @@ const calibrationFileVersion = 1
 
 // CalibrationCachePath resolves where a device's calibration cache
 // lives, honoring the REPRO_CALIBRATION environment variable: "off"
-// disables caching (empty return), an explicit value is used verbatim,
-// and by default the cache sits in the OS temp directory keyed by
-// device name. cmd/experiments and cmd/fleet share this resolution so
-// one calibration serves both.
+// disables caching (empty return), an explicit value names the cache
+// directory, and by default the cache sits in the OS temp directory.
+// Each device has its own file, so a mixed roster's devices never
+// overwrite each other's calibration. cmd/experiments and cmd/fleet
+// share this resolution so one calibration serves both.
 func CalibrationCachePath(device string) string {
-	switch v := os.Getenv("REPRO_CALIBRATION"); v {
+	dir := os.Getenv("REPRO_CALIBRATION")
+	switch dir {
 	case "off":
 		return ""
 	case "":
-		return filepath.Join(os.TempDir(), "repro-calibration-"+device+".json")
-	default:
-		return v
+		dir = os.TempDir()
 	}
+	return filepath.Join(dir, "repro-calibration-"+device+".json")
+}
+
+// WriteFileAtomic writes data to path through a temporary file in the
+// same directory (created if missing) and a rename, so a reader never
+// sees a partial file and concurrent writers leave one whole file.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	err = errors.Join(werr, tmp.Chmod(0o644), tmp.Close())
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // LoadOrInit returns an initialized pipeline for cfg over apps: it
@@ -128,7 +153,7 @@ func (p *Pipeline) SaveCalibration(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: encode calibration: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("core: write calibration: %w", err)
 	}
 	return nil

@@ -90,3 +90,50 @@ func TestSaveCalibrationRequiresInit(t *testing.T) {
 	var none []kernel.Params
 	_ = none
 }
+
+// TestCalibrationCacheDirectory checks that an explicit REPRO_CALIBRATION
+// names a directory with one file per device, created on first save,
+// and that the atomic write leaves no temporary file behind.
+func TestCalibrationCacheDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	t.Setenv("REPRO_CALIBRATION", dir)
+	big, small := CalibrationCachePath("GTX480-60SM"), CalibrationCachePath("Small-8SM")
+	if big == small {
+		t.Fatalf("two devices share cache path %s", big)
+	}
+	for _, path := range []string{big, small} {
+		if filepath.Dir(path) != dir {
+			t.Fatalf("cache path %s outside %s", path, dir)
+		}
+	}
+
+	p := initPipeline(t)
+	path := CalibrationCachePath(p.Config().Name)
+	if err := p.SaveCalibration(path); err != nil {
+		t.Fatal(err)
+	}
+	// Saving twice replaces the file in place.
+	if err := p.SaveCalibration(path); err != nil {
+		t.Fatal(err)
+	}
+	q := MustNew(testkit.Config())
+	if err := q.LoadCalibration(path, testkit.Universe()); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("cache directory holds %v, want only %s", names, filepath.Base(path))
+	}
+
+	t.Setenv("REPRO_CALIBRATION", "off")
+	if got := CalibrationCachePath("GTX480-60SM"); got != "" {
+		t.Fatalf("REPRO_CALIBRATION=off resolved %q", got)
+	}
+}

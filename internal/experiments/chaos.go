@@ -89,21 +89,7 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"deadline-miss rate",
-		"wait p99 (kcyc)",
-		"completed jobs",
-		"chaos evictions",
-		"failures",
-		"drains",
-		"restores",
-		"throughput",
-		"makespan (Mcyc)",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
+	var results []fleet.Result
 	for _, m := range modes {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: m.policy, Engine: fleet.Modeled,
@@ -117,20 +103,19 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 		if err != nil {
 			return Artifact{}, fmt.Errorf("fleet chaos/%s: %w", m.name, err)
 		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("deadline-miss rate", res.MissRate())
-		add("wait p99 (kcyc)", res.WaitSummary().P99)
-		add("completed jobs", float64(res.CompletedJobs()))
-		add("chaos evictions", float64(res.ChaosEvictions))
-		add("failures", float64(res.Failures))
-		add("drains", float64(res.Drains))
-		add("restores", float64(res.Restores))
-		add("throughput", res.Throughput())
-		add("makespan (Mcyc)", float64(res.Makespan)/1e6)
+		results = append(results, res)
 	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
-	}
+	a.Rows = fleetRows("", results, []fleetMetric{
+		{"deadline-miss rate", fleet.Result.MissRate},
+		{"wait p99 (kcyc)", func(r fleet.Result) float64 { return r.WaitSummary().P99 }},
+		{"completed jobs", completedJobs},
+		{"chaos evictions", func(r fleet.Result) float64 { return float64(r.ChaosEvictions) }},
+		{"failures", func(r fleet.Result) float64 { return float64(r.Failures) }},
+		{"drains", func(r fleet.Result) float64 { return float64(r.Drains) }},
+		{"restores", func(r fleet.Result) float64 { return float64(r.Restores) }},
+		{"throughput", fleet.Result.Throughput},
+		{"makespan (Mcyc)", makespanMcyc},
+	})
 	// Headline: what the outage costs and what a planned drain saves.
 	calm := a.MustValue("wait p99 (kcyc)", "ilp-calm")
 	failP99 := a.MustValue("wait p99 (kcyc)", "ilp-fail")

@@ -65,18 +65,7 @@ func (s *Suite) FleetAdmission() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"deadline-miss rate",
-		"latency p99 wait (kcyc)",
-		"completed jobs",
-		"rejected",
-		"degraded",
-		"throughput",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
+	var results []fleet.Result
 	for _, m := range modes {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
@@ -89,17 +78,16 @@ func (s *Suite) FleetAdmission() (Artifact, error) {
 		if err != nil {
 			return Artifact{}, fmt.Errorf("fleet admission/%s: %w", m.name, err)
 		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("deadline-miss rate", res.MissRate())
-		add("latency p99 wait (kcyc)", res.WaitSummaryFor(fleet.Latency).P99)
-		add("completed jobs", float64(res.CompletedJobs()))
-		add("rejected", float64(res.Rejected))
-		add("degraded", float64(res.Degraded))
-		add("throughput", res.Throughput())
+		results = append(results, res)
 	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
-	}
+	a.Rows = fleetRows("", results, []fleetMetric{
+		{"deadline-miss rate", fleet.Result.MissRate},
+		{"latency p99 wait (kcyc)", func(r fleet.Result) float64 { return r.WaitSummaryFor(fleet.Latency).P99 }},
+		{"completed jobs", completedJobs},
+		{"rejected", func(r fleet.Result) float64 { return float64(r.Rejected) }},
+		{"degraded", func(r fleet.Result) float64 { return float64(r.Degraded) }},
+		{"throughput", fleet.Result.Throughput},
+	})
 	// Headline: the ablation's trade — misses bought down, paid in
 	// rejections (or degradations, which keep the work).
 	off := a.MustValue("deadline-miss rate", "admission-off")
@@ -159,19 +147,7 @@ func (s *Suite) FleetElastic() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"mean active devices",
-		"deadline-miss rate",
-		"wait p95 (kcyc)",
-		"throughput",
-		"provisions",
-		"decommissions",
-		"makespan (Mcyc)",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
+	var results []fleet.Result
 	for _, m := range modes {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
@@ -185,18 +161,17 @@ func (s *Suite) FleetElastic() (Artifact, error) {
 		if err != nil {
 			return Artifact{}, fmt.Errorf("fleet elastic/%s: %w", m.name, err)
 		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("mean active devices", meanActiveDevices(res, devices))
-		add("deadline-miss rate", res.MissRate())
-		add("wait p95 (kcyc)", res.WaitSummary().P95)
-		add("throughput", res.Throughput())
-		add("provisions", float64(res.Provisions))
-		add("decommissions", float64(res.Decommissions))
-		add("makespan (Mcyc)", float64(res.Makespan)/1e6)
+		results = append(results, res)
 	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
-	}
+	a.Rows = fleetRows("", results, []fleetMetric{
+		{"mean active devices", func(r fleet.Result) float64 { return meanActiveDevices(r, devices) }},
+		{"deadline-miss rate", fleet.Result.MissRate},
+		{"wait p95 (kcyc)", func(r fleet.Result) float64 { return r.WaitSummary().P95 }},
+		{"throughput", fleet.Result.Throughput},
+		{"provisions", func(r fleet.Result) float64 { return float64(r.Provisions) }},
+		{"decommissions", func(r fleet.Result) float64 { return float64(r.Decommissions) }},
+		{"makespan (Mcyc)", makespanMcyc},
+	})
 	fixedActive := a.MustValue("mean active devices", "fixed-roster")
 	elasticActive := a.MustValue("mean active devices", "autoscale-2:8")
 	a.Notes = append(a.Notes, fmt.Sprintf("diurnal curve: mean active devices %.2f -> %.2f (%.0f%% fewer device-cycles held) with %0.f provisions / %0.f decommissions; wait p95 %.1f -> %.1f kcyc",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -16,6 +15,32 @@ import (
 // paper's offline ladder (Fig 4.1) transplanted to the arrival-driven
 // setting.
 var fleetPolicies = []sched.Policy{sched.Serial, sched.FCFS, sched.ILP, sched.ILPSMRA}
+
+// fleetMetric is one artifact row of a fleet ablation: its label and
+// its projection of a finished run.
+type fleetMetric struct {
+	label string
+	value func(fleet.Result) float64
+}
+
+// fleetRows lays out one row per metric, labeled prefix+label, holding
+// one value per result in column order.
+func fleetRows(prefix string, results []fleet.Result, metrics []fleetMetric) []Row {
+	rows := make([]Row, len(metrics))
+	for i, m := range metrics {
+		rows[i].Label = prefix + m.label
+		for _, res := range results {
+			rows[i].Values = append(rows[i].Values, m.value(res))
+		}
+	}
+	return rows
+}
+
+// makespanMcyc is a run's makespan in megacycles.
+func makespanMcyc(r fleet.Result) float64 { return float64(r.Makespan) / 1e6 }
+
+// completedJobs is a run's completed-job count.
+func completedJobs(r fleet.Result) float64 { return float64(r.CompletedJobs()) }
 
 // FleetOnline is an extension beyond the paper: the same policy ladder
 // evaluated online, with jobs arriving over simulated time to a
@@ -46,14 +71,17 @@ func (s *Suite) FleetOnline() (Artifact, error) {
 	for _, p := range fleetPolicies {
 		a.Columns = append(a.Columns, p.String())
 	}
+	metrics := []fleetMetric{
+		{"throughput", fleet.Result.Throughput},
+		{"p95 turnaround (kcyc)", func(r fleet.Result) float64 { return r.TurnaroundSummary().P95 }},
+	}
 	for i, regime := range regimes {
 		regime.cfg.Seed = rng.Hash2(s.Seed, uint64(i)+1)
 		arrivals, err := regime.cfg.Generate(workloads.Names)
 		if err != nil {
 			return Artifact{}, err
 		}
-		thpt := Row{Label: regime.name + " throughput"}
-		p95 := Row{Label: regime.name + " p95 turnaround (kcyc)"}
+		var results []fleet.Result
 		for _, policy := range fleetPolicies {
 			f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{NC: nc, Policy: policy})
 			if err != nil {
@@ -63,10 +91,9 @@ func (s *Suite) FleetOnline() (Artifact, error) {
 			if err != nil {
 				return Artifact{}, fmt.Errorf("fleet %s/%v: %w", regime.name, policy, err)
 			}
-			thpt.Values = append(thpt.Values, res.Throughput())
-			p95.Values = append(p95.Values, res.TurnaroundSummary().P95)
+			results = append(results, res)
 		}
-		a.Rows = append(a.Rows, thpt, p95)
+		a.Rows = append(a.Rows, fleetRows(regime.name+" ", results, metrics)...)
 	}
 	// Headline: the ILP-SMRA gain over FCFS under saturation, the regime
 	// the paper's offline evaluation approximates.
@@ -107,13 +134,7 @@ func (s *Suite) FleetSLO() (Artifact, error) {
 	// a magic cycle count: twice the mean solo duration, comfortable for
 	// a dispatched latency job (even co-running) but tight enough that
 	// queueing behind batch backlogs blows it.
-	profiles := s.P.Profiles()
-	meanSolo := uint64(0)
-	for _, r := range profiles {
-		meanSolo += r.Cycles
-	}
-	meanSolo /= uint64(len(profiles))
-	deadline := 2 * meanSolo
+	deadline := 2 * s.meanSoloCycles()
 	acfg := fleet.ArrivalConfig{
 		Kind: fleet.Poisson, Jobs: jobs, Rate: 0.8,
 		LatencyFrac: latencyFrac, Deadline: deadline,
@@ -139,19 +160,7 @@ func (s *Suite) FleetSLO() (Artifact, error) {
 	for _, m := range modes {
 		a.Columns = append(a.Columns, m.name)
 	}
-	labels := []string{
-		"deadline-miss rate",
-		"latency p99 turnaround (kcyc)",
-		"latency p99 wait (kcyc)",
-		"batch p95 wait (kcyc)",
-		"batch jobs per Mcycle",
-		"throughput",
-		"evictions",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
+	var results []fleet.Result
 	for _, m := range modes {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{NC: nc, Policy: sched.ILPSMRA, SLO: m.slo})
 		if err != nil {
@@ -161,19 +170,19 @@ func (s *Suite) FleetSLO() (Artifact, error) {
 		if err != nil {
 			return Artifact{}, fmt.Errorf("fleet slo/%s: %w", m.name, err)
 		}
-		batchJobs := len(res.Jobs) - res.LatencyJobs()
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("deadline-miss rate", res.MissRate())
-		add("latency p99 turnaround (kcyc)", res.TurnaroundSummaryFor(fleet.Latency).P99)
-		add("latency p99 wait (kcyc)", res.WaitSummaryFor(fleet.Latency).P99)
-		add("batch p95 wait (kcyc)", res.WaitSummaryFor(fleet.Batch).P95)
-		add("batch jobs per Mcycle", 1e6*float64(batchJobs)/float64(res.Makespan))
-		add("throughput", res.Throughput())
-		add("evictions", float64(len(res.Evictions)))
+		results = append(results, res)
 	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
-	}
+	a.Rows = fleetRows("", results, []fleetMetric{
+		{"deadline-miss rate", fleet.Result.MissRate},
+		{"latency p99 turnaround (kcyc)", func(r fleet.Result) float64 { return r.TurnaroundSummaryFor(fleet.Latency).P99 }},
+		{"latency p99 wait (kcyc)", func(r fleet.Result) float64 { return r.WaitSummaryFor(fleet.Latency).P99 }},
+		{"batch p95 wait (kcyc)", func(r fleet.Result) float64 { return r.WaitSummaryFor(fleet.Batch).P95 }},
+		{"batch jobs per Mcycle", func(r fleet.Result) float64 {
+			return 1e6 * float64(len(r.Jobs)-r.LatencyJobs()) / float64(r.Makespan)
+		}},
+		{"throughput", fleet.Result.Throughput},
+		{"evictions", func(r fleet.Result) float64 { return float64(len(r.Evictions)) }},
+	})
 	// Headlines: what preemption buys the latency class and what it
 	// costs the batch class, on identical traffic.
 	noPre := a.MustValue("deadline-miss rate", "slo-priority")
@@ -217,13 +226,7 @@ func (s *Suite) FleetScale() (Artifact, error) {
 	}
 	// Deadline scaled from the calibrated universe exactly as FleetSLO
 	// does: twice the mean solo duration on the big generation.
-	profiles := s.P.Profiles()
-	meanSolo := uint64(0)
-	for _, r := range profiles {
-		meanSolo += r.Cycles
-	}
-	meanSolo /= uint64(len(profiles))
-	deadline := 2 * meanSolo
+	deadline := 2 * s.meanSoloCycles()
 	acfg := fleet.ArrivalConfig{
 		Kind: fleet.Bursty, Jobs: jobs, Rate: 1.2,
 		LatencyFrac: latencyFrac, Deadline: deadline,
@@ -242,19 +245,7 @@ func (s *Suite) FleetScale() (Artifact, error) {
 	for _, p := range policies {
 		a.Columns = append(a.Columns, p.String())
 	}
-	labels := []string{
-		"throughput",
-		"mean utilization",
-		"deadline-miss rate",
-		"latency p99 wait (kcyc)",
-		"batch p95 wait (kcyc)",
-		"evictions",
-		"makespan (Mcyc)",
-	}
-	rows := map[string]*Row{}
-	for _, label := range labels {
-		rows[label] = &Row{Label: label}
-	}
+	var results []fleet.Result
 	for _, policy := range policies {
 		f, err := fleet.New(fleet.Config{
 			Devices: roster, NC: nc, Policy: policy, Engine: fleet.Modeled,
@@ -267,70 +258,23 @@ func (s *Suite) FleetScale() (Artifact, error) {
 		if err != nil {
 			return Artifact{}, fmt.Errorf("fleet scale/%v: %w", policy, err)
 		}
-		add := func(label string, v float64) { rows[label].Values = append(rows[label].Values, v) }
-		add("throughput", res.Throughput())
-		add("mean utilization", res.MeanUtilization())
-		add("deadline-miss rate", res.MissRate())
-		add("latency p99 wait (kcyc)", res.WaitSummaryFor(fleet.Latency).P99)
-		add("batch p95 wait (kcyc)", res.WaitSummaryFor(fleet.Batch).P95)
-		add("evictions", float64(len(res.Evictions)))
-		add("makespan (Mcyc)", float64(res.Makespan)/1e6)
+		results = append(results, res)
 	}
-	for _, label := range labels {
-		a.Rows = append(a.Rows, *rows[label])
-	}
+	a.Rows = fleetRows("", results, []fleetMetric{
+		{"throughput", fleet.Result.Throughput},
+		{"mean utilization", fleet.Result.MeanUtilization},
+		{"deadline-miss rate", fleet.Result.MissRate},
+		{"latency p99 wait (kcyc)", func(r fleet.Result) float64 { return r.WaitSummaryFor(fleet.Latency).P99 }},
+		{"batch p95 wait (kcyc)", func(r fleet.Result) float64 { return r.WaitSummaryFor(fleet.Batch).P95 }},
+		{"evictions", func(r fleet.Result) float64 { return float64(len(r.Evictions)) }},
+		{"makespan (Mcyc)", makespanMcyc},
+	})
 	fcfs := a.MustValue("throughput", sched.FCFS.String())
 	smra := a.MustValue("throughput", sched.ILPSMRA.String())
 	if fcfs > 0 {
 		a.Notes = append(a.Notes, fmt.Sprintf("ILP-SMRA/FCFS throughput at %d devices x %dk jobs: %.3fx (modeled engine, zero cycle-accurate sims)",
 			devices, jobs/1000, smra/fcfs))
 	}
-	// Sharding headline: the ILP-SMRA cell re-run under 1 and 8 parallel
-	// event loops. The accounting is byte-identical by contract (checked
-	// here), so the only thing sharding can change is how long the host
-	// takes — which is exactly what the note reports. Wall time is a
-	// measurement of the simulator, not a simulated quantity, hence the
-	// wallclock waivers.
-	shardWall := func(shards int) (time.Duration, fleet.Result, error) {
-		f, err := fleet.New(fleet.Config{
-			Devices: roster, NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
-			SLO:    fleet.SLOConfig{Enabled: true, Preempt: true},
-			Shards: shards,
-		})
-		if err != nil {
-			return 0, fleet.Result{}, err
-		}
-		//simlint:ignore wallclock -- host wall time is the measurement itself, never a simulated quantity
-		start := time.Now()
-		res, err := f.Run(arrivals)
-		if err != nil {
-			return 0, fleet.Result{}, fmt.Errorf("fleet scale/%d shards: %w", shards, err)
-		}
-		//simlint:ignore wallclock -- host wall time is the measurement itself, never a simulated quantity
-		return time.Since(start), res, nil
-	}
-	const shardK = 8
-	oneWall, oneRes, err := shardWall(1)
-	if err != nil {
-		return Artifact{}, err
-	}
-	kWall, kRes, err := shardWall(shardK)
-	if err != nil {
-		return Artifact{}, err
-	}
-	// Sharding splits the backlog K ways, so the simulated schedule is
-	// allowed to drift from the single loop's — but never the job count.
-	if len(oneRes.Jobs) != len(kRes.Jobs) {
-		return Artifact{}, fmt.Errorf("fleet scale: %d shards completed %d jobs, single loop %d",
-			shardK, len(kRes.Jobs), len(oneRes.Jobs))
-	}
-	speedup := 0.0
-	if kWall > 0 {
-		speedup = float64(oneWall) / float64(kWall)
-	}
-	a.Notes = append(a.Notes, fmt.Sprintf("sharded event loops: 1 shard %v vs %d shards %v wall-clock (%.2fx); %d-way split makespan %.2fx of single loop",
-		oneWall.Round(time.Millisecond), shardK, kWall.Round(time.Millisecond), speedup,
-		shardK, float64(kRes.Makespan)/float64(oneRes.Makespan)))
 	return a, nil
 }
 
@@ -374,9 +318,12 @@ func (s *Suite) FleetHetero() (Artifact, error) {
 	if err != nil {
 		return Artifact{}, err
 	}
+	metrics := []fleetMetric{
+		{"throughput", fleet.Result.Throughput},
+		{"p95 wait (kcyc)", func(r fleet.Result) float64 { return r.WaitSummary().P95 }},
+	}
 	for _, roster := range rosters {
-		thpt := Row{Label: roster.name + " throughput"}
-		p95 := Row{Label: roster.name + " p95 wait (kcyc)"}
+		var results []fleet.Result
 		for _, policy := range policies {
 			f, err := fleet.New(fleet.Config{Devices: roster.devs, NC: nc, Policy: policy})
 			if err != nil {
@@ -386,10 +333,9 @@ func (s *Suite) FleetHetero() (Artifact, error) {
 			if err != nil {
 				return Artifact{}, fmt.Errorf("fleet %s/%v: %w", roster.name, policy, err)
 			}
-			thpt.Values = append(thpt.Values, res.Throughput())
-			p95.Values = append(p95.Values, res.WaitSummary().P95)
+			results = append(results, res)
 		}
-		a.Rows = append(a.Rows, thpt, p95)
+		a.Rows = append(a.Rows, fleetRows(roster.name+" ", results, metrics)...)
 	}
 	// Headline: what placement-awareness buys on the mixed roster.
 	mixedThpt := a.MustValue(mixedLabel+" throughput", sched.ILPSMRA.String()) /

@@ -39,7 +39,7 @@ type Suite struct {
 // the expensive step; it is cached on disk keyed by device name and a
 // fingerprint of every workload parameter, so repeated regenerations of
 // the figures within one environment skip it. Set REPRO_CALIBRATION to
-// choose the cache path, or to "off" to disable caching.
+// choose the cache directory, or to "off" to disable caching.
 func NewSuite(cfg config.GPUConfig) (*Suite, error) {
 	apps := workloads.All()
 	p, err := core.LoadOrInit(cfg, apps)
@@ -87,7 +87,7 @@ func (s *Suite) saveGroups() {
 	if err != nil {
 		return
 	}
-	_ = os.WriteFile(s.groupCache, data, 0o644)
+	_ = core.WriteFileAtomic(s.groupCache, data)
 }
 
 // runNames executes a queue given as benchmark names, memoized.

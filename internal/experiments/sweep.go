@@ -23,12 +23,7 @@ func (s *Suite) FleetSweep() (Artifact, error) {
 		latencyFrac = 0.15
 	)
 	// Deadline scaled from the calibrated universe, as in FleetSLO.
-	profiles := s.P.Profiles()
-	meanSolo := uint64(0)
-	for _, r := range profiles {
-		meanSolo += r.Cycles
-	}
-	meanSolo /= uint64(len(profiles))
+	meanSolo := s.meanSoloCycles()
 
 	roster := fmt.Sprintf("%dx%s", devices, s.P.Config().Name)
 	g := sweep.Grid{

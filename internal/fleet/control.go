@@ -230,48 +230,9 @@ type ctlEvent struct {
 	aux   int
 }
 
-// ctlHeap is a min-heap of control events by (cycle, seq).
-type ctlHeap struct{ v []ctlEvent }
-
+// ctlLess is the control-event order (cycle, then push sequence).
 func ctlLess(a, b ctlEvent) bool {
 	return a.cycle < b.cycle || (a.cycle == b.cycle && a.seq < b.seq)
-}
-
-func (h *ctlHeap) push(ev ctlEvent) {
-	h.v = append(h.v, ev)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ctlLess(h.v[i], h.v[p]) {
-			break
-		}
-		h.v[i], h.v[p] = h.v[p], h.v[i]
-		i = p
-	}
-}
-
-func (h *ctlHeap) pop() ctlEvent {
-	ev := h.v[0]
-	n := len(h.v) - 1
-	h.v[0] = h.v[n]
-	h.v[n] = ctlEvent{}
-	h.v = h.v[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && ctlLess(h.v[l], h.v[m]) {
-			m = l
-		}
-		if r < n && ctlLess(h.v[r], h.v[m]) {
-			m = r
-		}
-		if m == i {
-			return ev
-		}
-		h.v[i], h.v[m] = h.v[m], h.v[i]
-		i = m
-	}
 }
 
 // clientState is one closed-loop client pool: its think/backoff stream,
@@ -290,7 +251,7 @@ type loopCtl struct {
 	f *Fleet
 	l *loop
 
-	events ctlHeap
+	events minHeap[ctlEvent]
 	seq    int
 
 	// clients is indexed by global client id; entries owned by other
@@ -342,6 +303,7 @@ func (f *Fleet) newLoopCtl(l *loop, minDev, maxDev int) *loopCtl {
 	total := len(f.devType)
 	c := &loopCtl{
 		f: f, l: l,
+		events: minHeap[ctlEvent]{less: ctlLess},
 		active: make([]bool, total), pending: make([]bool, total),
 		failed: make([]bool, total), draining: make([]bool, total),
 		minDev: minDev, maxDev: maxDev,
@@ -395,7 +357,7 @@ func (c *loopCtl) next() uint64 {
 // loop runs its admit/dispatch passes between steps, so a submission is
 // dispatchable before the next control action fires.
 func (c *loopCtl) step(now uint64) {
-	ev := c.events.pop()
+	ev := c.events.removeAt(0)
 	switch ev.kind {
 	case evSubmit, evRetry:
 		c.submit(ev.j, now, ev.kind == evRetry)

@@ -33,13 +33,15 @@
 //
 // There is one event loop type (loop.go). An unsharded run drives a
 // single loop over the whole roster; with Config.Shards > 1 an epoch
-// coordinator drives one loop per device partition. Either way one
-// collect step assembles the drained loops into the Result (shard.go). The loop's sources — arrivals, control events,
-// resolved completions, and in-flight groups bounded from below — are
-// indexed: min-heaps order completions and completion bounds, an
-// idle-device heap yields the fastest free device in placement order,
-// and the live queue is a head-indexed priority queue with
-// binary-search insertion (heap.go, queue.go). One event costs
+// coordinator drives one loop per device partition. Either way every
+// loop stops at its last settled job in the final drain, and one
+// collect step assembles the drained loops into the Result (shard.go).
+// The loop's sources — arrivals, control events, resolved completions,
+// and in-flight groups bounded from below — are indexed by one generic
+// min-heap (heap.go): it orders completions, completion bounds and
+// control events, and as the idle-device heap yields the fastest free
+// device in placement order. The live queue is a head-indexed priority
+// queue with binary-search insertion (queue.go). One event costs
 // O(log n) whatever the fleet size, which is what lets the same loop
 // serve 4 devices × 60 jobs and 64 devices × 100k jobs.
 //

@@ -1,28 +1,89 @@
 package fleet
 
-// The event core's indexed structures. The old loop re-scanned every
-// in-flight group and every device per event — O(events × devices) —
-// which a 4-device fleet never notices and a 256-device one cannot
-// afford. Three structures replace the scans:
+import "slices"
+
+// The event core's indexed structures, all one binary min-heap
+// (minHeap) under a strict total order, so the pop sequence is a pure
+// function of the pushed elements:
 //
-//   - a min-heap of resolved flights keyed by (completion, device):
-//     the provably-next completion is the root;
-//   - a min-heap of unresolved flights keyed by (earliest bound, dispatch
-//     sequence): the flight the loop may have to block on is the root,
-//     and the sequence tie-break reproduces the old scan's first-
-//     dispatched-wins order exactly;
-//   - a min-heap of idle devices keyed by placement position, so the
-//     dispatch pass pops the fastest idle device instead of scanning
-//     the placement order for one.
+//   - resolved flights keyed by (completion, device): the provably-next
+//     completion is the root;
+//   - unresolved flights keyed by (earliest bound, dispatch sequence):
+//     the flight the loop may have to block on is the root, and the
+//     first-dispatched flight wins a tie;
+//   - idle devices keyed by placement position, so the dispatch pass
+//     pops the fastest idle device;
+//   - control events keyed by (cycle, push sequence) (control.go).
 //
-// Flights leave the heaps lazily: eviction and resolution mark the
+// Flights leave their heaps lazily: eviction and resolution mark the
 // flight's state and peek/pop discard stale roots, so removal never
-// needs an index into the heap.
+// needs an index into the heap. Only the autoscaler and chaos remove an
+// idle device from the middle of its heap.
 //
 // Heap traffic is per flight, never per job: a modeled dispatch commits
 // the whole group as one resolved entry (commitModeled), so an NC-member
 // completion costs one push and one pop, not NC of each — the batching
 // half of the steady-state zero-allocation dispatch contract.
+
+// minHeap is a binary min-heap of v under the strict order less.
+type minHeap[T any] struct {
+	less func(a, b T) bool
+	v    []T
+}
+
+func (h *minHeap[T]) push(x T) {
+	h.v = append(h.v, x)
+	h.up(len(h.v) - 1)
+}
+
+// removeAt deletes and returns the element at index i (the minimum at
+// i = 0). The hole is filled by the last element and re-sifted both
+// ways, since swap-with-last can violate either direction.
+func (h *minHeap[T]) removeAt(i int) T {
+	x := h.v[i]
+	n := len(h.v) - 1
+	h.v[i] = h.v[n]
+	var zero T
+	h.v[n] = zero
+	h.v = h.v[:n]
+	if i < n && !h.down(i) {
+		h.up(i)
+	}
+	return x
+}
+
+// up sifts the element at i towards the root.
+func (h *minHeap[T]) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(h.v[i], h.v[p]) {
+			return
+		}
+		h.v[i], h.v[p] = h.v[p], h.v[i]
+		i = p
+	}
+}
+
+// down sifts the element at i towards the leaves and reports whether it
+// moved.
+func (h *minHeap[T]) down(i int) bool {
+	n, start := len(h.v), i
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && h.less(h.v[l], h.v[m]) {
+			m = l
+		}
+		if r < n && h.less(h.v[r], h.v[m]) {
+			m = r
+		}
+		if m == i {
+			return i > start
+		}
+		h.v[i], h.v[m] = h.v[m], h.v[i]
+		i = m
+	}
+}
 
 // flightState tracks which heap (if any) a flight is live in.
 type flightState int
@@ -38,25 +99,11 @@ const (
 	flightRetired
 )
 
-// flightHeap is a min-heap of in-flight groups under an arbitrary
-// strict order, with lazy deletion driven by the live state.
+// flightHeap is a heap of in-flight groups with lazy deletion driven by
+// the live state.
 type flightHeap struct {
-	less func(a, b *inflight) bool
+	minHeap[*inflight]
 	live flightState
-	v    []*inflight
-}
-
-func (h *flightHeap) push(fl *inflight) {
-	h.v = append(h.v, fl)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.v[i], h.v[p]) {
-			break
-		}
-		h.v[i], h.v[p] = h.v[p], h.v[i]
-		i = p
-	}
 }
 
 // peek returns the minimum live flight, discarding stale roots (evicted
@@ -66,7 +113,7 @@ func (h *flightHeap) peek() *inflight {
 		if h.v[0].state == h.live {
 			return h.v[0]
 		}
-		h.popRoot()
+		h.removeAt(0)
 	}
 	return nil
 }
@@ -75,105 +122,30 @@ func (h *flightHeap) peek() *inflight {
 func (h *flightHeap) pop() *inflight {
 	fl := h.peek()
 	if fl != nil {
-		h.popRoot()
+		h.removeAt(0)
 	}
 	return fl
 }
 
-func (h *flightHeap) popRoot() {
-	n := len(h.v) - 1
-	h.v[0] = h.v[n]
-	h.v[n] = nil
-	h.v = h.v[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(h.v[l], h.v[m]) {
-			m = l
-		}
-		if r < n && h.less(h.v[r], h.v[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.v[i], h.v[m] = h.v[m], h.v[i]
-		i = m
-	}
-}
+// deviceHeap is a heap of idle device indices keyed by placement
+// position (Fleet.orderPos), so pop yields the idle device first in
+// placement order.
+type deviceHeap struct{ minHeap[int] }
 
-// deviceHeap is a min-heap of idle device indices keyed by placement
-// position (orderPos), so pop yields exactly the device the old linear
-// scan over f.order would have found first.
-type deviceHeap struct {
-	pos []int // device index -> placement position (f.orderPos)
-	v   []int
-}
-
-func (h *deviceHeap) push(d int) {
-	h.v = append(h.v, d)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.pos[h.v[i]] >= h.pos[h.v[p]] {
-			break
-		}
-		h.v[i], h.v[p] = h.v[p], h.v[i]
-		i = p
-	}
+func newDeviceHeap(pos []int) deviceHeap {
+	return deviceHeap{minHeap[int]{less: func(a, b int) bool { return pos[a] < pos[b] }}}
 }
 
 // remove deletes device d from the heap, wherever it sits — the
-// autoscaler decommissions idle devices, which by the loop invariant
-// are always heap members. The hole is filled by the last element and
-// re-sifted both ways (swap-with-last can violate either direction).
-// Returns false when d is not in the heap.
+// autoscaler and chaos take idle devices out of service, which by the
+// loop invariant are always heap members. Returns false when d is not
+// in the heap.
 func (h *deviceHeap) remove(d int) bool {
-	n := len(h.v)
-	i := 0
-	for ; i < n; i++ {
-		if h.v[i] == d {
-			break
-		}
-	}
-	if i == n {
+	i := slices.Index(h.v, d)
+	if i < 0 {
 		return false
 	}
-	n--
-	h.v[i] = h.v[n]
-	h.v = h.v[:n]
-	if i == n {
-		return true
-	}
-	// Sift down.
-	j := i
-	for {
-		l, r := 2*j+1, 2*j+2
-		m := j
-		if l < n && h.pos[h.v[l]] < h.pos[h.v[m]] {
-			m = l
-		}
-		if r < n && h.pos[h.v[r]] < h.pos[h.v[m]] {
-			m = r
-		}
-		if m == j {
-			break
-		}
-		h.v[j], h.v[m] = h.v[m], h.v[j]
-		j = m
-	}
-	// If it never moved down, sift up instead.
-	if j == i {
-		for j > 0 {
-			p := (j - 1) / 2
-			if h.pos[h.v[j]] >= h.pos[h.v[p]] {
-				break
-			}
-			h.v[j], h.v[p] = h.v[p], h.v[j]
-			j = p
-		}
-	}
+	h.removeAt(i)
 	return true
 }
 
@@ -183,24 +155,5 @@ func (h *deviceHeap) pop() int {
 	if len(h.v) == 0 {
 		return -1
 	}
-	d := h.v[0]
-	n := len(h.v) - 1
-	h.v[0] = h.v[n]
-	h.v = h.v[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.pos[h.v[l]] < h.pos[h.v[m]] {
-			m = l
-		}
-		if r < n && h.pos[h.v[r]] < h.pos[h.v[m]] {
-			m = r
-		}
-		if m == i {
-			return d
-		}
-		h.v[i], h.v[m] = h.v[m], h.v[i]
-		i = m
-	}
+	return h.removeAt(0)
 }

@@ -17,11 +17,6 @@ import (
 type loop struct {
 	f  *Fleet
 	id int
-	// lone marks the loop of an unsharded run: it stops the moment its
-	// last job settles. Shard loops keep executing trailing control
-	// events (a late restore, a pending provision) until the
-	// coordinator's final drain runs dry, and count them.
-	lone bool
 	// devices are the global device indices the loop owns, in placement
 	// order.
 	devices []int
@@ -42,7 +37,7 @@ type loop struct {
 	now uint64
 	seq int
 	// arr is the open-loop arrival stream in arrival order: the whole
-	// stream for a lone loop, the routed share for a shard (the
+	// stream for an unsharded run, the routed share for a shard (the
 	// coordinator appends between epochs, while the loop is parked at
 	// the barrier). Closed-loop submissions arrive through ctl instead.
 	arr     []*job
@@ -79,12 +74,11 @@ func (f *Fleet) newLoop(id int, perClient [][]*job, chaos []ChaosEvent) *loop {
 	l := &loop{
 		f:          f,
 		id:         id,
-		lone:       k == 1,
 		flightOf:   make([]*inflight, total),
 		queue:      jobQueue{slo: f.cfg.SLO.Enabled},
-		resolved:   flightHeap{live: flightResolved, less: completionLess},
-		unresolved: flightHeap{live: flightPending, less: boundLess},
-		idleDevs:   deviceHeap{pos: f.orderPos},
+		resolved:   flightHeap{minHeap[*inflight]{less: completionLess}, flightResolved},
+		unresolved: flightHeap{minHeap[*inflight]{less: boundLess}, flightPending},
+		idleDevs:   newDeviceHeap(f.orderPos),
 		disp:       f.newDispatcher(),
 		res:        f.newResult(),
 	}
@@ -163,15 +157,16 @@ func boundLess(a, b *inflight) bool {
 // O(log n) instead of a scan over every flight and device.
 //
 // A shard parks its clock at the barrier limit. With limit = MaxUint64
-// the loop drains completely — a lone loop stops at its last settled
-// job — and a loop that still holds jobs with no event left records the
-// stall as its error.
+// (the final drain, whatever the shard count) the loop stops at its
+// last settled job, leaving any trailing control events unexecuted, and
+// a loop that still holds jobs with no event left records the stall as
+// its error.
 //
 //simlint:hotpath
 func (l *loop) runUntil(limit uint64) {
 	f := l.f
 	const inf = math.MaxUint64
-	for l.err == nil && !(l.lone && l.remaining <= 0) {
+	for l.err == nil && !(limit == inf && l.remaining <= 0) {
 		// Admit arrivals due by now (priority order when SLO-aware);
 		// admission control may reject or degrade a submission first.
 		for l.nextArr < len(l.arr) && l.arr[l.nextArr].arrival <= l.now {

@@ -152,10 +152,11 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) ([]*loop, error) {
 	return shards, runAll(inf)
 }
 
-// collect folds a run's drained event loops — the lone loop of an
-// unsharded run or every shard — into one Result. Every loop accounts
-// by global device id, so busy time and counters sum and the makespan
-// is the latest. A lone loop's eviction records stay in event order;
+// collect folds a run's drained event loops — the single loop of an
+// unsharded run or every shard, each stopped at its last settled job —
+// into one Result. Every loop accounts by global device id, so busy
+// time and counters sum and the makespan is the latest. A single
+// loop's eviction records stay in event order;
 // across shards they sort by (cycle, device), a total order because
 // within a shard records are in event order and one device evicts at
 // most one flight per cycle. The Hybrid fidelity delta folds every

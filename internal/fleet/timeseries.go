@@ -267,7 +267,7 @@ func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Resu
 	s.lastEdge = edge
 }
 
-// mergeSeries folds the event loops' samplers (the lone loop's, or
+// mergeSeries folds the event loops' samplers (the single loop's, or
 // one per shard) into one fleet-wide series, row by row in interval
 // order. Every loop samples the same edge grid (same interval, clocks
 // start at 0) over the same global device columns, and is finished
@@ -278,8 +278,9 @@ func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Resu
 // event stream would have produced.
 func mergeSeries(f *Fleet, loops []*loop, makespan uint64) (*obs.Series, error) {
 	merged := newSampler(f.cfg.SampleEvery, len(f.devType), f.ctlEnabled(), f.cfg.Chaos.Enabled)
-	// Control events (abandons, retries, scale ticks) can fire after a
-	// loop's last completion, pushing its sampler past the fleet-wide
+	// Every loop stops at its last settled job, but that job may settle
+	// by a control event (an abandon or a rejected submission) after the
+	// fleet's last completion, pushing the loop's sampler past the
 	// makespan; finishing every loop against the furthest horizon keeps
 	// the per-loop row grids identical.
 	horizon := makespan
