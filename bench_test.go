@@ -414,11 +414,10 @@ func BenchmarkFleetRunModeled(b *testing.B) {
 // 16-device fleet serving 32k Poisson jobs at 1, 4 and 8 event-loop
 // shards. Dispatch is FCFS so the subject is the event core itself —
 // admit, route, commit, retire — rather than the windowed ILP's LP
-// solves, which BenchmarkFleetDispatch measures in isolation. The
-// output bytes are identical at every count (the determinism tests
-// enforce it), so ns/job across sub-benchmarks is a pure wall-time
-// comparison — the million-jobs-per-second headline is Mjobs/s at
-// shards >= 4.
+// solves, which BenchmarkFleetDispatch measures in isolation. Shard
+// loops run one after another, so counts above 1 add routing and
+// barrier work without parallelism: shards=1 has measured fastest on
+// every host recorded.
 func BenchmarkFleetSharded(b *testing.B) {
 	p := fleetBenchPipeline(b)
 	const jobs = 32768

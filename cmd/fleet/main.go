@@ -38,22 +38,29 @@
 // first -hybrid-warm occurrences of each (device type, composition) to
 // calibrate the model and serves the rest from it, reporting the
 // model's fidelity delta in the summary. With -engine modeled, -shards
-// N partitions the roster across N parallel event loops coupled by a
+// N partitions the roster across N event loops coupled by a
 // deterministic router: a given seed and shard count always reproduce
 // the same bytes (-shards 1 byte-matches the single loop), and N > 1
-// trades the global backlog for K split queues — lower wall time on
-// big rosters, with the K-way schedule echoed in a "shards:" header.
+// models K split queues instead of one global backlog — it buys no
+// wall time, and the K-way schedule is echoed in a "shards:" header.
+//
+// Control surfaces, spelled like the cmd/sweep axes: -arrivals closed
+// replaces the arrival stream with -clients pools that submit, wait
+// and think; -admission reject[-modeled]:MAXWAIT or
+// degrade[-modeled]:MAXWAIT gates submissions on their predicted wait;
+// -autoscale MIN:MAX makes the roster elastic.
 //
 // Failure injection: -chaos "fail@CYCLE:DEV,drain@CYCLE:DEV,
 // restore@CYCLE:DEV" executes a deterministic failure schedule mid-run
 // (fail evicts the device's in-flight group with checkpointed progress
 // and takes it out of placement; drain lets the flight retire but stops
-// new dispatch; restore returns it to service), and -mtbf/-mttr swap
-// the explicit trace for per-device exponential failure/repair draws
-// from the run's seed. Either way the schedule is a pure function of
-// the flags, so chaos runs keep the byte-identical determinism
-// contract; the summary gains a "chaos" ledger line, and the time
-// series gains failed_devices/draining_devices columns.
+// new dispatch; restore returns it to service), and -chaos
+// mtbf:MTBF:MTTR[:HORIZON] swaps the explicit trace for per-device
+// exponential failure/repair draws from the run's seed. Either way the
+// schedule is a pure function of the flags, so chaos runs keep the
+// byte-identical determinism contract; the summary gains a "chaos"
+// ledger line, and the time series gains failed_devices/draining_devices
+// columns.
 //
 // Observability: -timeseries FILE samples the run every
 // -sample-interval cycles (queue depth and class split, per-device
@@ -112,22 +119,16 @@ func main() {
 	csvPath := flag.String("csv", "", "also write the per-job records as CSV to this file")
 	engineFlag := flag.String("engine", "cycle", "completion engine: cycle | modeled | hybrid")
 	hybridWarm := flag.Int("hybrid-warm", 0, "cycle-accurate runs per group composition before the hybrid engine trusts the model (0 = default)")
-	shards := flag.Int("shards", 0, "parallel event-loop shards for -engine modeled (0/1 = single loop; same seed and count reproduce the same bytes)")
-	closedFlag := flag.Bool("closed", false, "closed-loop clients replace the arrival stream (equivalent to -arrivals closed)")
-	clients := flag.Int("clients", 8, "closed-loop client pools, each with one request outstanding (with -closed)")
-	requests := flag.Int("requests", 0, "requests per client (0 = default, with -closed)")
-	think := flag.Float64("think", 0, "mean client think time in cycles between requests (with -closed)")
-	timeoutFlag := flag.Uint64("timeout", 0, "per-request patience in cycles; a submission queued longer is abandoned (0 = never, with -closed)")
-	retries := flag.Int("retries", 0, "resubmissions allowed after a rejection or abandonment (with -closed)")
-	backoffFlag := flag.Uint64("backoff", 0, "base retry backoff in cycles, doubling per attempt (0 = default, with -closed)")
-	admission := flag.Uint64("admission", 0, "admission bound: refuse submissions whose predicted wait exceeds this many cycles (0 = off)")
-	admissionDegrade := flag.Bool("admission-degrade", false, "degrade over-bound latency submissions to batch instead of rejecting them (with -admission)")
-	admissionModeled := flag.Bool("admission-modeled", false, "predict waits from the interference-aware backlog estimate instead of the solo-work sum (with -admission)")
-	chaosFlag := flag.String("chaos", "", "failure schedule as KIND@CYCLE:DEV,... with kinds fail|drain|restore (empty = off)")
-	mtbf := flag.Float64("mtbf", 0, "chaos generator: mean cycles between failures per device (0 = off; needs -mttr)")
-	mttr := flag.Float64("mttr", 0, "chaos generator: mean outage length in cycles (with -mtbf)")
-	chaosHorizon := flag.Uint64("chaos-horizon", 0, "chaos generator schedule bound in cycles (0 = default, with -mtbf)")
-	autoscaleFlag := flag.String("autoscale", "", "elastic roster bounds as MIN:MAX active devices (empty = off)")
+	shards := flag.Int("shards", 0, "event-loop shards for -engine modeled (0/1 = single loop; same seed and count reproduce the same bytes)")
+	clients := flag.Int("clients", 8, "closed-loop client pools, each with one request outstanding (with -arrivals closed)")
+	requests := flag.Int("requests", 0, "requests per client (0 = default, with -arrivals closed)")
+	think := flag.Float64("think", 0, "mean client think time in cycles between requests (with -arrivals closed)")
+	timeoutFlag := flag.Uint64("timeout", 0, "per-request patience in cycles; a submission queued longer is abandoned (0 = never, with -arrivals closed)")
+	retries := flag.Int("retries", 0, "resubmissions allowed after a rejection or abandonment (with -arrivals closed)")
+	backoffFlag := flag.Uint64("backoff", 0, "base retry backoff in cycles, doubling per attempt (0 = default, with -arrivals closed)")
+	admissionFlag := flag.String("admission", "off", "admission control: off, or reject[-modeled]:MAXWAIT / degrade[-modeled]:MAXWAIT to reject over-bound submissions or degrade them to batch (-modeled prices the backlog with interference)")
+	chaosFlag := flag.String("chaos", "off", "failure schedule: off, KIND@CYCLE:DEV,... with kinds fail|drain|restore, or mtbf:MTBF:MTTR[:HORIZON] drawn from -seed")
+	autoscaleFlag := flag.String("autoscale", "off", "elastic roster: off, or MIN:MAX active devices")
 	scaleHigh := flag.Float64("scale-high", 0, "scale-up queue-pressure watermark in waiting jobs per active device (0 = default, with -autoscale)")
 	scaleLow := flag.Float64("scale-low", 0, "scale-down watermark (0 = default, with -autoscale)")
 	provisionDelay := flag.Uint64("provision-delay", 0, "cycles between a scale-up decision and the device accepting work (0 = default, with -autoscale)")
@@ -196,15 +197,9 @@ func main() {
 	if set["devices"] && *rosterFlag != "" {
 		fail("fleet: -devices is ignored with -fleet; size the roster instead (e.g. \"4xGTX480\")")
 	}
-	// Closed-loop traffic can be asked for by flag or by arrival kind;
-	// either way the clients pace themselves, so the open-stream shape
+	// Closed-loop clients pace themselves, so the open-stream shape
 	// flags are rejected rather than silently ignored (and vice versa).
-	closed := *closedFlag || kind == fleet.ClosedLoop
-	if set["closed"] && set["arrivals"] && kind != fleet.ClosedLoop {
-		failf("fleet: -closed conflicts with -arrivals %v; closed-loop runs generate their own traffic", kind)
-	}
-	if closed {
-		kind = fleet.ClosedLoop
+	if kind == fleet.ClosedLoop {
 		for _, name := range []string{"rate", "apps", "trace", "burst-rate", "mean-on", "mean-off"} {
 			if set[name] {
 				failf("fleet: -%s has no effect with closed-loop traffic; -clients and -think shape the load", name)
@@ -213,30 +208,24 @@ func main() {
 	} else {
 		for _, name := range []string{"clients", "requests", "think", "timeout", "retries", "backoff"} {
 			if set[name] {
-				failf("fleet: -%s only applies to closed-loop traffic (-closed)", name)
+				failf("fleet: -%s only applies to closed-loop traffic (-arrivals closed)", name)
 			}
 		}
 	}
-	if set["admission-degrade"] && *admission == 0 {
-		fail("fleet: -admission-degrade needs -admission to set the bound")
+	admission, err := fleet.ParseAdmission(*admissionFlag)
+	if err != nil {
+		fail(err)
 	}
-	if set["admission-modeled"] && *admission == 0 {
-		fail("fleet: -admission-modeled needs -admission to set the bound")
+	chaos, err := fleet.ParseChaosSpec(*chaosFlag)
+	if err != nil {
+		fail(err)
 	}
-	if *chaosFlag != "" && (*mtbf > 0 || *mttr > 0) {
-		fail("fleet: -chaos conflicts with -mtbf/-mttr; pick the explicit trace or the generator")
-	}
-	if (*mtbf > 0) != (*mttr > 0) {
-		fail("fleet: -mtbf and -mttr must be set together")
-	}
-	if set["chaos-horizon"] && *mtbf == 0 {
-		fail("fleet: -chaos-horizon needs -mtbf/-mttr to enable the generator")
-	}
+	chaos.Seed = *seed
 	autoscale, err := fleet.ParseAutoscale(*autoscaleFlag)
 	if err != nil {
 		fail(err)
 	}
-	if !autoscale.Enabled {
+	if autoscale == (fleet.AutoscaleConfig{}) {
 		for _, name := range []string{"scale-high", "scale-low", "provision-delay"} {
 			if set[name] {
 				failf("fleet: -%s needs -autoscale to enable the elastic roster", name)
@@ -272,9 +261,6 @@ func main() {
 	}
 	if set["hybrid-warm"] && engine != fleet.Hybrid {
 		failf("fleet: -hybrid-warm only applies to -engine hybrid (got %v)", engine)
-	}
-	if set["shards"] && *shards > 1 && engine != fleet.Modeled {
-		failf("fleet: -shards only applies to -engine modeled (got %v)", engine)
 	}
 	if set["sample-interval"] {
 		if *timeseries == "" {
@@ -346,6 +332,9 @@ func main() {
 	}
 	log.Printf("roster ready in %v", time.Since(start).Round(time.Second))
 
+	autoscale.High = *scaleHigh
+	autoscale.Low = *scaleLow
+	autoscale.Delay = *provisionDelay
 	cfg := fleet.Config{
 		Devices:     roster,
 		NC:          *nc,
@@ -357,36 +346,21 @@ func main() {
 		Engine:      engine,
 		HybridWarm:  *hybridWarm,
 		Shards:      *shards,
+		Admission:   admission,
+		Autoscale:   autoscale,
+		Chaos:       chaos,
 	}
 	if *timeseries != "" {
 		cfg.SampleEvery = *sampleInterval
 	}
-	if closed {
+	if kind == fleet.ClosedLoop {
 		cfg.Closed = fleet.ClosedConfig{
-			Enabled: true, Clients: *clients, Requests: *requests,
+			Clients: *clients, Requests: *requests,
 			Think: *think, Timeout: *timeoutFlag,
 			Retries: *retries, Backoff: *backoffFlag,
 			LatencyFrac: *latencyFrac, Deadline: *deadline,
 			Seed: *seed, Universe: workloads.Names,
 		}
-	}
-	if *admission > 0 {
-		cfg.Admission = fleet.AdmissionConfig{Enabled: true, MaxWait: *admission, Degrade: *admissionDegrade, Modeled: *admissionModeled}
-	}
-	if autoscale.Enabled {
-		autoscale.High = *scaleHigh
-		autoscale.Low = *scaleLow
-		autoscale.Delay = *provisionDelay
-		cfg.Autoscale = autoscale
-	}
-	if *chaosFlag != "" {
-		trace, err := fleet.ParseChaos(*chaosFlag)
-		if err != nil {
-			fail(err)
-		}
-		cfg.Chaos = fleet.ChaosConfig{Enabled: true, Trace: trace}
-	} else if *mtbf > 0 {
-		cfg.Chaos = fleet.ChaosConfig{Enabled: true, MTBF: *mtbf, MTTR: *mttr, Horizon: *chaosHorizon, Seed: *seed}
 	}
 	f, err := fleet.New(cfg)
 	if err != nil {
@@ -398,12 +372,13 @@ func main() {
 		fail(err)
 	}
 	log.Printf("fleet run finished in %v wall-clock", time.Since(runStart).Round(time.Millisecond))
+	// rc is the resolved configuration (defaults filled in).
+	rc := f.Config()
 	switch kind {
 	case fleet.ClosedLoop:
-		// Echo the resolved closed-loop parameters (defaults filled in).
-		rc := f.Config().Closed
+		cc := rc.Closed
 		fmt.Printf("arrivals: closed clients=%d requests=%d think=%.0f timeout=%d retries=%d backoff=%d seed=%d\n",
-			rc.Clients, rc.Requests, rc.Think, rc.Timeout, rc.Retries, rc.Backoff, rc.Seed)
+			cc.Clients, cc.Requests, cc.Think, cc.Timeout, cc.Retries, cc.Backoff, cc.Seed)
 	case fleet.Trace:
 		fmt.Printf("arrivals: %v (%d entries)\n", kind, len(acfg.Trace))
 	case fleet.Bursty:
@@ -413,7 +388,7 @@ func main() {
 	default:
 		fmt.Printf("arrivals: %v rate=%.2f/kcycle seed=%d\n", kind, *rate, *seed)
 	}
-	if ac := f.Config().Admission; ac.Enabled {
+	if ac := rc.Admission; res.Admission {
 		mode := "reject"
 		if ac.Degrade {
 			mode = "degrade"
@@ -423,11 +398,11 @@ func main() {
 		}
 		fmt.Printf("admission: mode=%s max-wait=%d\n", mode, ac.MaxWait)
 	}
-	if as := f.Config().Autoscale; as.Enabled {
+	if as := rc.Autoscale; res.Autoscale {
 		fmt.Printf("autoscale: min=%d max=%d high=%g low=%g delay=%d epoch=%d\n",
-			as.Min, as.Max, as.High, as.Low, as.Delay, as.Epoch)
+			as.Min, as.Max, as.High, as.Low, as.Delay, rc.ShardEpoch)
 	}
-	if ch := f.Config().Chaos; ch.Enabled {
+	if ch := rc.Chaos; res.Chaos {
 		if len(ch.Trace) > 0 {
 			fmt.Printf("chaos: trace %s\n", fleet.FormatChaos(ch.Trace))
 		} else {
@@ -437,24 +412,20 @@ func main() {
 	// The SLO header echoes the generation parameters actually used;
 	// trace runs carry per-entry deadlines, so only the mode applies.
 	switch {
-	case kind == fleet.Trace && slo.Enabled:
-		fmt.Printf("slo: mode=%s aging=%g (per-entry deadlines)\n", strings.ToLower(*sloFlag), *aging)
-	case kind == fleet.ClosedLoop && (slo.Enabled || *latencyFrac > 0):
-		fmt.Printf("slo: mode=%s latency-frac=%.2f deadline=%d aging=%g\n",
-			strings.ToLower(*sloFlag), *latencyFrac, f.Config().Closed.Deadline, *aging)
-	case slo.Enabled || *latencyFrac > 0:
-		fmt.Printf("slo: mode=%s latency-frac=%.2f deadline=%d aging=%g\n",
-			strings.ToLower(*sloFlag), *latencyFrac, acfg.Resolved().Deadline, *aging)
+	case kind == fleet.Trace && slo != fleet.SLOOff:
+		fmt.Printf("slo: mode=%v aging=%g (per-entry deadlines)\n", slo, *aging)
+	case kind == fleet.ClosedLoop && (slo != fleet.SLOOff || *latencyFrac > 0):
+		fmt.Printf("slo: mode=%v latency-frac=%.2f deadline=%d aging=%g\n",
+			slo, *latencyFrac, rc.Closed.Deadline, *aging)
+	case slo != fleet.SLOOff || *latencyFrac > 0:
+		fmt.Printf("slo: mode=%v latency-frac=%.2f deadline=%d aging=%g\n",
+			slo, *latencyFrac, acfg.Resolved().Deadline, *aging)
 	}
 	// The shard count shapes the simulated schedule (the router splits
 	// the backlog K ways), so artifacts must say which K produced them;
 	// at 0/1 the line is omitted and output matches previous releases.
 	if res.Shards > 1 {
-		epoch := cfg.ShardEpoch
-		if epoch == 0 {
-			epoch = fleet.DefaultShardEpoch
-		}
-		fmt.Printf("shards: %d event loops, epoch=%d cycles\n", res.Shards, epoch)
+		fmt.Printf("shards: %d event loops, epoch=%d cycles\n", res.Shards, rc.ShardEpoch)
 	}
 	fmt.Print(res.Summary())
 	if *csvPath != "" {

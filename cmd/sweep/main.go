@@ -1,9 +1,10 @@
 // Command sweep runs a scenario grid — dispatch policy × completion
-// engine × roster × arrival process × SLO mode × shard count — over a bounded worker
-// pool and collects every cell's summary metrics into one tidy CSV or
-// JSON artifact, the Go-native analogue of hand-driving cmd/fleet once
-// per configuration. The same binary diffs two such artifacts cell by
-// cell (-delta), mirroring scripts/benchdelta for benchmark snapshots.
+// engine × roster × arrival process × SLO mode × admission × autoscale
+// × shard count × chaos — over a bounded worker pool and collects
+// every cell's summary metrics into one tidy CSV or JSON artifact, the
+// Go-native analogue of hand-driving cmd/fleet once per configuration.
+// The same binary diffs two such artifacts cell by cell (-delta),
+// mirroring scripts/benchdelta for benchmark snapshots.
 //
 // Usage:
 //
@@ -23,9 +24,11 @@
 //
 // Every cell of an arrival kind replays the identical generated
 // traffic, so metric differences across cells are pure configuration.
-// The whole artifact is deterministic: the same grid (and seed) twice
-// is byte-identical, whatever the worker pool did — which is what makes
-// -delta meaningful.
+// The shard axis models a K-way-split fleet: its loops run one after
+// another inside the cell, so it changes the schedule, not the wall
+// time. The whole artifact is deterministic: the same grid (and seed)
+// twice is byte-identical, whatever the worker pool did — which is what
+// makes -delta meaningful.
 package main
 
 import (
@@ -51,7 +54,7 @@ func main() {
 	rosters := flag.String("rosters", "", "semicolon-separated rosters, each COUNTxCONFIG,... (default 4xGTX480)")
 	arrivals := flag.String("arrivals", "", "comma-separated arrival processes: poisson, bursty (default poisson)")
 	slos := flag.String("slo", "", "comma-separated SLO modes: off, priority, preempt (default off)")
-	admissions := flag.String("admissions", "", "comma-separated admission modes: off, reject:MAXWAIT, degrade:MAXWAIT (default off)")
+	admissions := flag.String("admissions", "", "comma-separated admission modes: off, reject[-modeled]:MAXWAIT, degrade[-modeled]:MAXWAIT (default off)")
 	autoscales := flag.String("autoscales", "", "comma-separated elastic-roster bounds: off or MIN:MAX (default off)")
 	chaoses := flag.String("chaoses", "", "semicolon-separated failure schedules: off, KIND@CYCLE:DEV,... traces, or mtbf:MTBF:MTTR[:HORIZON] (default off)")
 	shards := flag.String("shards", "", "comma-separated event-loop shard counts for the modeled engine (default 1)")

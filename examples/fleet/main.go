@@ -100,7 +100,7 @@ func main() {
 	}
 	f, err := fleet.New(fleet.Config{
 		Devices: roster, NC: 2, Policy: sched.ILPSMRA, Aging: 1,
-		SLO: fleet.SLOConfig{Enabled: true, Preempt: true},
+		SLO: fleet.SLOPreempt,
 	})
 	if err != nil {
 		log.Fatal(err)

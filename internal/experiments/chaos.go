@@ -66,7 +66,7 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 		for d := 0; d < down; d++ {
 			trace = append(trace, fleet.ChaosEvent{Cycle: 12 * meanSolo, Device: d, Kind: fleet.ChaosRestore})
 		}
-		return fleet.ChaosConfig{Enabled: true, Trace: trace}
+		return fleet.ChaosConfig{Trace: trace}
 	}
 	modes := []struct {
 		name   string
@@ -78,7 +78,7 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 		{"fcfs-fail", sched.FCFS, wave(fleet.ChaosFail), fleet.AutoscaleConfig{}},
 		{"ilp-fail", sched.ILPSMRA, wave(fleet.ChaosFail), fleet.AutoscaleConfig{}},
 		{"ilp-fail-autoscale", sched.ILPSMRA, wave(fleet.ChaosFail),
-			fleet.AutoscaleConfig{Enabled: true, Min: 2, Max: devices, High: 1.0, Low: 0.25}},
+			fleet.AutoscaleConfig{Min: 2, Max: devices, High: 1.0, Low: 0.25}},
 		{"ilp-drain", sched.ILPSMRA, wave(fleet.ChaosDrain), fleet.AutoscaleConfig{}},
 	}
 	a := Artifact{
@@ -93,7 +93,7 @@ func (s *Suite) FleetChaos() (Artifact, error) {
 	for _, m := range modes {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: m.policy, Engine: fleet.Modeled,
-			SLO: fleet.SLOConfig{Enabled: true}, Chaos: m.chaos, Autoscale: m.scale,
+			SLO: fleet.SLOPriority, Chaos: m.chaos, Autoscale: m.scale,
 			SampleEvery: meanSolo / 4, ShardEpoch: meanSolo / 2,
 		})
 		if err != nil {

@@ -44,7 +44,7 @@ func (s *Suite) FleetAdmission() (Artifact, error) {
 	deadline := 2 * meanSolo
 	maxWait := meanSolo
 	closed := fleet.ClosedConfig{
-		Enabled: true, Clients: clients, Requests: requests,
+		Clients: clients, Requests: requests,
 		Think: float64(meanSolo), LatencyFrac: 0.5, Deadline: deadline,
 		Seed: rng.Hash2(s.Seed, 0xad1), Universe: workloads.Names,
 	}
@@ -53,9 +53,9 @@ func (s *Suite) FleetAdmission() (Artifact, error) {
 		adm  fleet.AdmissionConfig
 	}{
 		{"admission-off", fleet.AdmissionConfig{}},
-		{"admission-reject", fleet.AdmissionConfig{Enabled: true, MaxWait: maxWait}},
-		{"admission-reject-modeled", fleet.AdmissionConfig{Enabled: true, MaxWait: maxWait, Modeled: true}},
-		{"admission-degrade", fleet.AdmissionConfig{Enabled: true, MaxWait: maxWait, Degrade: true}},
+		{"admission-reject", fleet.AdmissionConfig{MaxWait: maxWait}},
+		{"admission-reject-modeled", fleet.AdmissionConfig{MaxWait: maxWait, Modeled: true}},
+		{"admission-degrade", fleet.AdmissionConfig{MaxWait: maxWait, Degrade: true}},
 	}
 	a := Artifact{
 		ID: "FleetAdmission",
@@ -69,7 +69,7 @@ func (s *Suite) FleetAdmission() (Artifact, error) {
 	for _, m := range modes {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
-			SLO: fleet.SLOConfig{Enabled: true}, Closed: closed, Admission: m.adm,
+			SLO: fleet.SLOPriority, Closed: closed, Admission: m.adm,
 		})
 		if err != nil {
 			return Artifact{}, err
@@ -137,7 +137,7 @@ func (s *Suite) FleetElastic() (Artifact, error) {
 		scale fleet.AutoscaleConfig
 	}{
 		{"fixed-roster", fleet.AutoscaleConfig{}},
-		{"autoscale-2:8", fleet.AutoscaleConfig{Enabled: true, Min: 2, Max: devices, High: 1.0, Low: 0.25}},
+		{"autoscale-2:8", fleet.AutoscaleConfig{Min: 2, Max: devices, High: 1.0, Low: 0.25}},
 	}
 	a := Artifact{
 		ID: "FleetElastic",
@@ -151,7 +151,7 @@ func (s *Suite) FleetElastic() (Artifact, error) {
 	for _, m := range modes {
 		f, err := fleet.NewHomogeneous(s.P, devices, fleet.Config{
 			NC: nc, Policy: sched.ILPSMRA, Engine: fleet.Modeled,
-			SLO: fleet.SLOConfig{Enabled: true}, Autoscale: m.scale,
+			SLO: fleet.SLOPriority, Autoscale: m.scale,
 			SampleEvery: meanSolo / 4, ShardEpoch: meanSolo / 2,
 		})
 		if err != nil {

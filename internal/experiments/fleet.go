@@ -146,11 +146,11 @@ func (s *Suite) FleetSLO() (Artifact, error) {
 	}
 	modes := []struct {
 		name string
-		slo  fleet.SLOConfig
+		slo  fleet.SLOMode
 	}{
-		{"class-blind", fleet.SLOConfig{}},
-		{"slo-priority", fleet.SLOConfig{Enabled: true}},
-		{"slo-preempt", fleet.SLOConfig{Enabled: true, Preempt: true}},
+		{"class-blind", fleet.SLOOff},
+		{"slo-priority", fleet.SLOPriority},
+		{"slo-preempt", fleet.SLOPreempt},
 	}
 	a := Artifact{
 		ID: "FleetSLO",
@@ -249,7 +249,7 @@ func (s *Suite) FleetScale() (Artifact, error) {
 	for _, policy := range policies {
 		f, err := fleet.New(fleet.Config{
 			Devices: roster, NC: nc, Policy: policy, Engine: fleet.Modeled,
-			SLO: fleet.SLOConfig{Enabled: true, Preempt: true},
+			SLO: fleet.SLOPreempt,
 		})
 		if err != nil {
 			return Artifact{}, err

@@ -40,7 +40,7 @@ func newDispatchRig(tb testing.TB) *dispatchRig {
 	p := testPipeline(tb)
 	f, err := New(Config{
 		Devices: homo(p, 4), NC: 2, Policy: sched.ILP, Engine: Modeled,
-		SLO: SLOConfig{Enabled: true, Preempt: true},
+		SLO: SLOPreempt,
 	})
 	if err != nil {
 		tb.Fatal(err)

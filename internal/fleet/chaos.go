@@ -16,7 +16,7 @@ import (
 // clients, admission and the autoscaler:
 //
 //   - fail kills a device outright. A group in flight is evicted
-//     through the same EvictionRecord/RestartFrac machinery preemption
+//     through the same EvictionRecord/checkpoint machinery preemption
 //     uses (trigger "chaos", id -1): its jobs re-enter the queue with
 //     checkpointed progress and the device leaves the idle heap.
 //   - drain stops new dispatch: the device leaves the idle heap but a
@@ -89,11 +89,10 @@ type ChaosEvent struct {
 	Kind ChaosKind
 }
 
-// ChaosConfig parameterizes failure injection (Config.Chaos). Exactly
-// one of Trace and the MTBF generator must be configured.
+// ChaosConfig parameterizes failure injection (Config.Chaos). It is on
+// when a trace or a generator rate is set, and then exactly one of
+// Trace and the MTBF generator must be configured.
 type ChaosConfig struct {
-	// Enabled turns failure injection on.
-	Enabled bool
 	// Trace is the explicit failure schedule. Events may be listed in
 	// any order; they execute in (cycle, device) order, same-cycle
 	// same-device events in list order.
@@ -124,9 +123,15 @@ const DefaultChaosHorizon = 2_000_000
 // streams' salts in control.go.
 const chaosSalt = 0xC4A05
 
+// on reports whether anything is scheduled to fail.
+func (c ChaosConfig) on() bool { return len(c.Trace) > 0 || c.generated() }
+
+// generated reports whether the MTBF/MTTR generator is asked for.
+func (c ChaosConfig) generated() bool { return c.MTBF != 0 || c.MTTR != 0 }
+
 // withDefaults resolves zero fields.
 func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Enabled && c.MTBF > 0 && c.Horizon == 0 {
+	if c.MTBF > 0 && c.Horizon == 0 {
 		c.Horizon = DefaultChaosHorizon
 	}
 	return c
@@ -135,14 +140,10 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // validate rejects impossible chaos configurations against a roster of
 // the given size.
 func (c ChaosConfig) validate(devices int) error {
-	if !c.Enabled {
-		return nil
-	}
-	hasTrace, hasGen := len(c.Trace) > 0, c.MTBF > 0 || c.MTTR > 0
-	if hasTrace == hasGen {
+	if len(c.Trace) > 0 && c.generated() {
 		return fmt.Errorf("fleet: chaos needs exactly one of an event trace or an MTBF/MTTR generator")
 	}
-	if hasGen {
+	if c.generated() {
 		if c.MTBF <= 0 || c.MTTR <= 0 {
 			return fmt.Errorf("fleet: chaos generator needs positive MTBF and MTTR (got %g/%g)", c.MTBF, c.MTTR)
 		}
@@ -169,7 +170,7 @@ func (c ChaosConfig) validate(devices int) error {
 // index, so the schedule is identical at any shard count.
 func (f *Fleet) resolveChaos() []ChaosEvent {
 	ch := &f.cfg.Chaos
-	if !ch.Enabled {
+	if !ch.on() {
 		return nil
 	}
 	var out []ChaosEvent
@@ -277,7 +278,7 @@ func ParseChaosSpec(s string) (ChaosConfig, error) {
 		if err != nil || mttr <= 0 {
 			return ChaosConfig{}, fmt.Errorf("fleet: chaos MTTR %q is not a positive cycle count", parts[1])
 		}
-		cfg := ChaosConfig{Enabled: true, MTBF: mtbf, MTTR: mttr}
+		cfg := ChaosConfig{MTBF: mtbf, MTTR: mttr}
 		if len(parts) == 3 {
 			h, err := strconv.ParseUint(parts[2], 10, 64)
 			if err != nil || h == 0 {
@@ -291,5 +292,5 @@ func ParseChaosSpec(s string) (ChaosConfig, error) {
 	if err != nil {
 		return ChaosConfig{}, err
 	}
-	return ChaosConfig{Enabled: true, Trace: trace}, nil
+	return ChaosConfig{Trace: trace}, nil
 }

@@ -15,7 +15,7 @@ import (
 func chaosCase(t *testing.T, shards int) Config {
 	t.Helper()
 	cfg := closedCase(t, shards)
-	cfg.Chaos = ChaosConfig{Enabled: true, Trace: []ChaosEvent{
+	cfg.Chaos = ChaosConfig{Trace: []ChaosEvent{
 		{Cycle: 60_000, Device: 0, Kind: ChaosFail},
 		{Cycle: 60_000, Device: 4, Kind: ChaosFail},
 		{Cycle: 120_000, Device: 1, Kind: ChaosDrain},
@@ -133,7 +133,7 @@ func TestChaosConservation(t *testing.T) {
 			cfg.Engine = tc.engine
 			cfg.Policy = tc.policy
 			cfg.Closed.Seed = seed
-			cfg.Chaos = ChaosConfig{Enabled: true, MTBF: 150_000, MTTR: 50_000, Seed: seed}
+			cfg.Chaos = ChaosConfig{MTBF: 150_000, MTTR: 50_000, Seed: seed}
 			f, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +161,7 @@ func TestChaosConservation(t *testing.T) {
 func TestChaosDrainRetires(t *testing.T) {
 	run := func(kind ChaosKind) Result {
 		cfg := closedCase(t, 1)
-		cfg.Chaos = ChaosConfig{Enabled: true, Trace: []ChaosEvent{
+		cfg.Chaos = ChaosConfig{Trace: []ChaosEvent{
 			{Cycle: 60_000, Device: 0, Kind: kind},
 			{Cycle: 60_000, Device: 1, Kind: kind},
 			{Cycle: 250_000, Device: 0, Kind: ChaosRestore},
@@ -205,7 +205,7 @@ func TestChaosValidation(t *testing.T) {
 			c.Chaos.Trace = []ChaosEvent{{Cycle: 1, Device: 0, Kind: ChaosKind(9)}}
 		}},
 		{"trace and generator", func(c *Config) { c.Chaos.MTBF, c.Chaos.MTTR = 100, 100 }},
-		{"neither trace nor generator", func(c *Config) { c.Chaos.Trace = nil }},
+		{"negative mttr", func(c *Config) { c.Chaos.Trace = nil; c.Chaos.MTBF, c.Chaos.MTTR = 100, -1 }},
 		{"mtbf without mttr", func(c *Config) { c.Chaos.Trace = nil; c.Chaos.MTBF = 100 }},
 	} {
 		cfg := chaosCase(t, 1)
@@ -216,7 +216,7 @@ func TestChaosValidation(t *testing.T) {
 	}
 	// The generator spelling with sane parameters must be accepted.
 	cfg := chaosCase(t, 1)
-	cfg.Chaos = ChaosConfig{Enabled: true, MTBF: 100_000, MTTR: 20_000}
+	cfg.Chaos = ChaosConfig{MTBF: 100_000, MTTR: 20_000}
 	if _, err := New(cfg); err != nil {
 		t.Errorf("generator config rejected: %v", err)
 	}
@@ -246,8 +246,8 @@ func TestParseChaosSpec(t *testing.T) {
 			t.Errorf("ParseChaosSpec(%q) error = %v, wantErr %v", tc.in, err, tc.wantErr)
 			continue
 		}
-		if err == nil && cfg.Enabled != tc.enabled {
-			t.Errorf("ParseChaosSpec(%q).Enabled = %v, want %v", tc.in, cfg.Enabled, tc.enabled)
+		if err == nil && cfg.on() != tc.enabled {
+			t.Errorf("ParseChaosSpec(%q).on() = %v, want %v", tc.in, cfg.on(), tc.enabled)
 		}
 	}
 	// Trace specs round-trip through the canonical rendering.

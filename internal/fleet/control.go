@@ -36,14 +36,12 @@ import (
 // dispatch contract is untouched.
 
 // ClosedConfig parameterizes the closed-loop arrival source
-// (Config.Closed). Enabled runs replace the open arrival stream: Run
-// must be called with no arrivals and generates each client's request
-// sequence itself.
+// (Config.Closed). It is on when Clients > 0; such runs replace the
+// open arrival stream: Run must be called with no arrivals and
+// generates each client's request sequence itself.
 type ClosedConfig struct {
-	// Enabled switches the fleet to closed-loop traffic.
-	Enabled bool
 	// Clients is the number of client pools, each with exactly one
-	// request outstanding at a time.
+	// request outstanding at a time (0 = open-loop traffic).
 	Clients int
 	// Requests is how many requests each client issues over the run (0
 	// selects DefaultClosedRequests).
@@ -78,8 +76,8 @@ type ClosedConfig struct {
 // a submission is admitted only if the loop's predicted queueing wait
 // is at most MaxWait.
 type AdmissionConfig struct {
-	Enabled bool
-	// MaxWait is the admission bound in cycles on the predicted wait.
+	// MaxWait is the admission bound in cycles on the predicted wait
+	// (0 = no admission control).
 	MaxWait uint64
 	// Degrade admits over-bound latency submissions as batch (dropping
 	// class and deadline) instead of rejecting; batch submissions are
@@ -95,14 +93,14 @@ type AdmissionConfig struct {
 }
 
 // AutoscaleConfig parameterizes the elastic roster (Config.Autoscale).
-// Pressure is queue depth per active device, evaluated every Epoch
-// cycles on the fixed epoch grid.
+// Pressure is queue depth per active device, evaluated every
+// Config.ShardEpoch cycles on the fixed epoch grid, so sharded fleets
+// scale at the same barriers they route on.
 type AutoscaleConfig struct {
-	Enabled bool
-	// Min and Max bound the active device count (0 selects 1 and the
-	// full roster). Sharded runs split both bounds across shards the
-	// same way the roster is dealt, so Min must be at least the shard
-	// count.
+	// Min and Max bound the active device count; the autoscaler is on
+	// when either is set, and the unset one selects 1 or the full
+	// roster. Sharded runs split both bounds across shards the same way
+	// the roster is dealt, so Min must be at least the shard count.
 	Min, Max int
 	// High and Low are the scale-up and scale-down pressure watermarks
 	// (0 selects DefaultScaleHigh and DefaultScaleLow).
@@ -112,11 +110,18 @@ type AutoscaleConfig struct {
 	// DefaultProvisionDelay). Decommission is immediate — only idle
 	// devices are released.
 	Delay uint64
-	// Epoch is the reconciliation quantum (0 selects ShardEpoch, or
-	// DefaultShardEpoch outside sharded runs), so sharded fleets scale
-	// at the same barriers they route on.
-	Epoch uint64
 }
+
+// on reports whether closed-loop traffic replaces the arrival stream.
+// A negative client count counts as set, so validation rejects it.
+func (c ClosedConfig) on() bool { return c.Clients != 0 }
+
+// on reports whether admission control gates submissions.
+func (a AdmissionConfig) on() bool { return a.MaxWait > 0 }
+
+// on reports whether the roster is elastic. Negative bounds count as
+// set, so validation rejects them.
+func (a AutoscaleConfig) on() bool { return a.Min != 0 || a.Max != 0 }
 
 // Closed-loop and autoscale defaults.
 const (
@@ -157,9 +162,9 @@ func ParseAdmission(s string) (AdmissionConfig, error) {
 	}
 	mode, bound, ok := strings.Cut(s, ":")
 	if !ok {
-		return AdmissionConfig{}, fmt.Errorf("fleet: admission %q is not off, reject:MAXWAIT or degrade:MAXWAIT", s)
+		return AdmissionConfig{}, fmt.Errorf("fleet: admission %q is not off, reject[-modeled]:MAXWAIT or degrade[-modeled]:MAXWAIT", s)
 	}
-	cfg := AdmissionConfig{Enabled: true}
+	var cfg AdmissionConfig
 	// A "-modeled" suffix selects the interference-aware predictor.
 	modeName, modeled := strings.CutSuffix(strings.ToLower(mode), "-modeled")
 	cfg.Modeled = modeled
@@ -180,7 +185,7 @@ func ParseAdmission(s string) (AdmissionConfig, error) {
 
 // ParseAutoscale parses the CLI/sweep autoscale spelling: "off" (or
 // empty) disables it, "MIN:MAX" bounds the active device count.
-// Watermarks, provisioning delay and epoch keep their defaults.
+// Watermarks and provisioning delay keep their defaults.
 func ParseAutoscale(s string) (AutoscaleConfig, error) {
 	if s == "" || strings.EqualFold(s, "off") {
 		return AutoscaleConfig{}, nil
@@ -197,7 +202,7 @@ func ParseAutoscale(s string) (AutoscaleConfig, error) {
 	if err != nil || max < min {
 		return AutoscaleConfig{}, fmt.Errorf("fleet: autoscale ceiling %q is not a device count >= the floor", hi)
 	}
-	return AutoscaleConfig{Enabled: true, Min: min, Max: max}, nil
+	return AutoscaleConfig{Min: min, Max: max}, nil
 }
 
 const (
@@ -289,11 +294,10 @@ type loopCtl struct {
 	downActive    int
 }
 
-// ctlEnabled reports whether any control surface is configured — the
-// loops allocate a loopCtl exactly then.
-func (f *Fleet) ctlEnabled() bool {
-	return f.cfg.Closed.Enabled || f.cfg.Admission.Enabled || f.cfg.Autoscale.Enabled ||
-		f.cfg.Chaos.Enabled
+// ctlOn reports whether any control surface is configured — the loops
+// allocate a loopCtl exactly then.
+func (f *Fleet) ctlOn() bool {
+	return f.cfg.Closed.on() || f.cfg.Admission.on() || f.cfg.Autoscale.on() || f.cfg.Chaos.on()
 }
 
 // newLoopCtl wires a control block to event loop l over its devices
@@ -309,9 +313,9 @@ func (f *Fleet) newLoopCtl(l *loop, minDev, maxDev int) *loopCtl {
 		minDev: minDev, maxDev: maxDev,
 	}
 	want := len(l.devices)
-	if f.cfg.Autoscale.Enabled {
+	if f.cfg.Autoscale.on() {
 		want = minDev
-		c.epoch = f.cfg.Autoscale.Epoch
+		c.epoch = f.cfg.ShardEpoch
 	}
 	for i, d := range l.devices {
 		if i < want {
@@ -520,7 +524,7 @@ func (c *loopCtl) admitOpen(j *job, now uint64) bool {
 // (possibly degrading a latency job to batch in Degrade mode).
 func (c *loopCtl) admit(j *job, now uint64) bool {
 	ad := &c.f.cfg.Admission
-	if !ad.Enabled || c.predictedWait(now) <= ad.MaxWait {
+	if !ad.on() || c.predictedWait(now) <= ad.MaxWait {
 		return true
 	}
 	if ad.Degrade {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,22 +22,22 @@ func closedCase(t *testing.T, shards int) Config {
 		NC:      2,
 		Policy:  sched.ILPSMRA,
 		Engine:  Modeled,
-		SLO:     SLOConfig{Enabled: true},
+		SLO:     SLOPriority,
 		Shards:  shards,
 		// The epoch doubles as the router barrier and the autoscale
 		// reconciliation grid; keep it short so runs cross many of both.
 		ShardEpoch:  10_000,
 		SampleEvery: goldenSampleEvery,
 		Closed: ClosedConfig{
-			Enabled: true, Clients: 16, Requests: 5,
+			Clients: 16, Requests: 5,
 			Think: 5_000, Timeout: 45_000, Retries: 2,
 			LatencyFrac: 0.25, Deadline: 60_000,
 			Seed: 0xC105ED, Universe: testNames(),
 		},
-		Admission: AdmissionConfig{Enabled: true, MaxWait: 60_000},
+		Admission: AdmissionConfig{MaxWait: 60_000},
 		// The low High watermark makes the roster actually move under
 		// this load, so the goldens lock provision ordering too.
-		Autoscale: AutoscaleConfig{Enabled: true, Min: 4, Max: 8, High: 1.2, Low: 0.5},
+		Autoscale: AutoscaleConfig{Min: 4, Max: 8, High: 1.2, Low: 0.5},
 	}
 }
 
@@ -217,7 +218,7 @@ func TestAdmissionReducesMisses(t *testing.T) {
 		cfg.Closed.LatencyFrac = 0.5
 		cfg.Admission = AdmissionConfig{}
 		if admission {
-			cfg.Admission = AdmissionConfig{Enabled: true, MaxWait: 25_000}
+			cfg.Admission = AdmissionConfig{MaxWait: 25_000}
 		}
 		f, err := New(cfg)
 		if err != nil {
@@ -259,7 +260,7 @@ func TestAdmissionDegradeKeepsWork(t *testing.T) {
 	cfg.Closed.Timeout = 0
 	cfg.Closed.Retries = 0
 	cfg.Closed.LatencyFrac = 0.5
-	cfg.Admission = AdmissionConfig{Enabled: true, MaxWait: 40_000, Degrade: true}
+	cfg.Admission = AdmissionConfig{MaxWait: 40_000, Degrade: true}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +285,7 @@ func TestAdmissionDegradeKeepsWork(t *testing.T) {
 // provision devices, and scale-down must reclaim them by the end.
 func TestAutoscaleScales(t *testing.T) {
 	cfg := closedCase(t, 1)
-	cfg.Autoscale = AutoscaleConfig{Enabled: true, Min: 1, Max: 8, High: 1.5, Low: 0.25}
+	cfg.Autoscale = AutoscaleConfig{Min: 1, Max: 8, High: 1.5, Low: 0.25}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -323,12 +324,11 @@ func TestControlValidation(t *testing.T) {
 		name   string
 		break_ func(*Config)
 	}{
-		{"no clients", func(c *Config) { c.Closed.Clients = 0 }},
+		{"negative clients", func(c *Config) { c.Closed.Clients = -1 }},
 		{"negative think", func(c *Config) { c.Closed.Think = -1 }},
 		{"latency frac", func(c *Config) { c.Closed.LatencyFrac = 1.5 }},
 		{"negative retries", func(c *Config) { c.Closed.Retries = -1 }},
 		{"empty universe", func(c *Config) { c.Closed.Universe = nil }},
-		{"admission bound", func(c *Config) { c.Admission.MaxWait = 0 }},
 		{"autoscale min", func(c *Config) { c.Autoscale.Min = -1 }},
 		{"autoscale order", func(c *Config) { c.Autoscale.Min = 6; c.Autoscale.Max = 2 }},
 		{"autoscale roster", func(c *Config) { c.Autoscale.Max = 99 }},
@@ -357,6 +357,107 @@ func TestSplitBound(t *testing.T) {
 		}
 		if sum != tc.n {
 			t.Errorf("splitBound(%d,%d,·) sums to %d", tc.n, tc.k, sum)
+		}
+	}
+}
+
+// TestControlSpellingsSwitchSurfaces pins the zero-value-is-off rule
+// for every control spelling cmd/fleet and the sweep grid share: "" and
+// "off" parse to the zero value and a run reports the surface off;
+// every accepted non-off spelling runs with the surface on.
+func TestControlSpellingsSwitchSurfaces(t *testing.T) {
+	p := testPipeline(t)
+	arrivals := testArrivals(t, 24, 1)
+	// Each surface parses its spelling into cfg and reports whether the
+	// parse gave the zero value and whether the run had the surface on.
+	type surface struct {
+		name   string
+		parse  func(s string, cfg *Config) (zero bool, err error)
+		on     func(f *Fleet, r Result) bool
+		spells []string
+	}
+	for _, sf := range []surface{
+		{"slo", func(s string, cfg *Config) (bool, error) {
+			m, err := ParseSLOMode(s)
+			cfg.SLO = m
+			return m == SLOOff, err
+		}, func(f *Fleet, _ Result) bool { return f.Config().SLO != SLOOff },
+			[]string{"priority", "preempt", "PREEMPT"}},
+		{"admission", func(s string, cfg *Config) (bool, error) {
+			a, err := ParseAdmission(s)
+			cfg.Admission = a
+			return a == AdmissionConfig{}, err
+		}, func(_ *Fleet, r Result) bool { return r.Admission },
+			[]string{"reject:5000", "degrade:5000", "reject-modeled:5000", "DEGRADE-MODELED:5000"}},
+		{"autoscale", func(s string, cfg *Config) (bool, error) {
+			a, err := ParseAutoscale(s)
+			cfg.Autoscale = a
+			return a == AutoscaleConfig{}, err
+		}, func(_ *Fleet, r Result) bool { return r.Autoscale },
+			[]string{"1:2", "2:2"}},
+		{"chaos", func(s string, cfg *Config) (bool, error) {
+			c, err := ParseChaosSpec(s)
+			cfg.Chaos = c
+			return reflect.DeepEqual(c, ChaosConfig{}), err
+		}, func(_ *Fleet, r Result) bool { return r.Chaos },
+			[]string{"fail@1000:0,restore@50000:0", "drain@0:1,restore@9000:1", "mtbf:40000:5000", "mtbf:40000:5000:90000"}},
+	} {
+		for _, s := range append([]string{"", "off", "OFF"}, sf.spells...) {
+			cfg := Config{Devices: homo(p, 2), NC: 2, Policy: sched.FCFS, Engine: Modeled}
+			zero, err := sf.parse(s, &cfg)
+			if err != nil {
+				t.Fatalf("%s %q: %v", sf.name, s, err)
+			}
+			off := s == "" || strings.EqualFold(s, "off")
+			if zero != off {
+				t.Errorf("%s %q: zero value = %v, want %v", sf.name, s, zero, off)
+			}
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s %q: %v", sf.name, s, err)
+			}
+			res, err := f.Run(arrivals)
+			if err != nil {
+				t.Fatalf("%s %q: %v", sf.name, s, err)
+			}
+			if got := sf.on(f, res); got == off {
+				t.Errorf("%s %q: run reports the surface on = %v", sf.name, s, got)
+			}
+			// No other surface switches on as a side effect.
+			n, want := 0, 0
+			for _, on := range []bool{res.Closed, res.Admission, res.Autoscale, res.Chaos} {
+				if on {
+					n++
+				}
+			}
+			if !off && sf.name != "slo" {
+				want = 1
+			}
+			if n != want {
+				t.Errorf("%s %q: %d surfaces on (closed=%v admission=%v autoscale=%v chaos=%v)",
+					sf.name, s, n, res.Closed, res.Admission, res.Autoscale, res.Chaos)
+			}
+		}
+	}
+	// Closed-loop traffic has no spelling of its own beyond the arrival
+	// kind: it is on exactly when there are clients.
+	for _, clients := range []int{0, 3} {
+		cfg := Config{Devices: homo(p, 2), NC: 2, Policy: sched.FCFS, Engine: Modeled,
+			Closed: ClosedConfig{Clients: clients, Requests: 2, Universe: testNames()}}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := arrivals
+		if clients > 0 {
+			in = nil
+		}
+		res, err := f.Run(in)
+		if err != nil {
+			t.Fatalf("clients=%d: %v", clients, err)
+		}
+		if res.Closed != (clients > 0) {
+			t.Errorf("clients=%d: Result.Closed = %v", clients, res.Closed)
 		}
 	}
 }

@@ -33,7 +33,8 @@
 //
 // There is one event loop type (loop.go). An unsharded run drives a
 // single loop over the whole roster; with Config.Shards > 1 an epoch
-// coordinator drives one loop per device partition. Either way every
+// coordinator drives one loop per device partition, one after another
+// on the caller's goroutine. Either way every
 // loop stops at its last settled job in the final drain, and one
 // collect step assembles the drained loops into the Result (shard.go).
 // The loop's sources — arrivals, control events, resolved completions,
@@ -61,8 +62,8 @@
 //
 // Jobs come in two SLO classes (slo.go): batch work that optimizes
 // throughput, and latency work that carries a relative deadline. With
-// SLOConfig.Enabled, latency jobs queue ahead of batch work and seed
-// group formation first. With SLOConfig.Preempt, the dispatcher may
+// SLOPriority, latency jobs queue ahead of batch work and seed group
+// formation first. With SLOPreempt, the dispatcher may
 // additionally evict a running all-batch group when a waiting latency
 // job would miss its deadline even if dispatched the instant the next
 // device is predicted to free. The decision is deliberately asymmetric:
@@ -71,9 +72,10 @@
 // while "can eviction save it?" assumes the solo optimum (a possible
 // rescue is worth one batch group's progress). Evicted jobs re-enter
 // the queue with their completed fraction checkpointed from the
-// solo-profile progress model, capped at MaxCheckpoint; a re-dispatch
-// runs the un-preserved remainder plus an explicit restart cost
-// (RestartFrac). Groups containing a latency member are never evicted.
+// solo-profile progress model, capped at DefaultMaxCheckpoint; a
+// re-dispatch runs the un-preserved remainder plus an explicit restart
+// cost (DefaultRestartFrac). Groups containing a latency member are
+// never evicted.
 //
 // # Heterogeneous rosters
 //

@@ -170,7 +170,7 @@ func TestModeledPreemption(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		f, err := New(Config{
 			Devices: homo(p, 2), NC: 2, Policy: sched.ILPSMRA, Engine: Modeled,
-			SLO: SLOConfig{Enabled: true, Preempt: true},
+			SLO: SLOPreempt,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +203,7 @@ func TestHybridPreemptionDeterminism(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		f, err := New(Config{
 			Devices: homo(p, 2), NC: 2, Policy: sched.ILPSMRA, Engine: Hybrid, HybridWarm: 1,
-			SLO: SLOConfig{Enabled: true, Preempt: true},
+			SLO: SLOPreempt,
 		})
 		if err != nil {
 			t.Fatal(err)

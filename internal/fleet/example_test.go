@@ -24,7 +24,7 @@ func ExampleFleet_Run() {
 	f, err := fleet.NewHomogeneous(p, 1, fleet.Config{
 		NC:     2,
 		Policy: sched.FCFS,
-		SLO:    fleet.SLOConfig{Enabled: true},
+		SLO:    fleet.SLOPriority,
 	})
 	if err != nil {
 		log.Fatal(err)

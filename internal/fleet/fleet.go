@@ -50,9 +50,9 @@ type Config struct {
 	// longest doubles its patterns' appeal — tail latency is optimized
 	// rather than pure throughput.
 	Aging float64
-	// SLO configures class-aware dispatch and preemption; the zero value
-	// disables both.
-	SLO SLOConfig
+	// SLO selects class-aware dispatch and preemption; the zero value,
+	// SLOOff, disables both.
+	SLO SLOMode
 	// Engine selects the completion engine: Cycle (the default)
 	// simulates every dispatched group cycle-accurately, Modeled
 	// computes completions analytically from solo profiles and the
@@ -73,33 +73,38 @@ type Config struct {
 	// changes dispatch decisions or event order.
 	SampleEvery uint64
 	// Shards partitions the roster into this many independent event
-	// loops, each running on its own goroutine with its own clock,
-	// queue and completion heap, coupled only through the arrival
-	// router's epoch barrier (see shard.go). 0 or 1 — the default —
-	// runs one event loop over the whole roster with no router. The
-	// determinism contract holds at every count: a given
-	// seed and shard count always reproduce byte-identical summaries
-	// and time series, however the host schedules the shard
-	// goroutines. Counts above 1 partition the backlog, so the
-	// simulated schedule is that of a K-way-split fleet — reproducible
-	// for that K, not a byte-copy of the single-loop schedule.
-	// Requires the Modeled engine (the Cycle and Hybrid engines
-	// already parallelize across their worker pool).
+	// loops, each with its own clock, queue and completion heap,
+	// coupled only through the arrival router's epoch barrier (see
+	// shard.go). The loops run one after another on the caller's
+	// goroutine between barriers; sharding buys no wall time (one loop
+	// measured fastest on every host), it only models a K-way-split
+	// fleet. 0 or 1 — the default — runs one event loop over the whole
+	// roster with no router. A given seed and shard count always
+	// reproduce byte-identical summaries and time series, but counts
+	// above 1 partition the backlog, so the simulated schedule is
+	// reproducible for that K, not a byte-copy of the single-loop
+	// schedule. Requires the Modeled engine.
 	Shards int
-	// ShardEpoch is the router's synchronization quantum in fleet
-	// cycles: arrivals are assigned to shards one epoch at a time, at a
-	// barrier where every shard's state is settled and deterministic. 0
-	// selects DefaultShardEpoch; ignored with Shards <= 1.
+	// ShardEpoch is the fleet's synchronization quantum in cycles (0
+	// selects DefaultShardEpoch): the router assigns arrivals to shards
+	// one epoch at a time, at a barrier where every shard's state is
+	// settled, and the autoscaler reconciles on the same epoch grid.
 	ShardEpoch uint64
-	// Closed switches the run to closed-loop traffic: client pools that
-	// submit, wait (with timeout, retry and backoff) and think, instead
-	// of an open arrival stream. Enabled runs pass no arrivals to Run.
+	// Each control surface below is off at its zero value and on
+	// exactly when it holds the values it cannot run without.
+	//
+	// Closed switches the run to closed-loop traffic when
+	// Closed.Clients > 0: client pools that submit, wait (with timeout,
+	// retry and backoff) and think, instead of an open arrival stream.
+	// Such runs pass no arrivals to Run.
 	Closed ClosedConfig
-	// Admission gates every submission on the predicted queueing wait,
-	// rejecting or degrading over-bound ones (see AdmissionConfig).
+	// Admission gates every submission on the predicted queueing wait
+	// when Admission.MaxWait > 0, rejecting or degrading over-bound
+	// ones (see AdmissionConfig).
 	Admission AdmissionConfig
 	// Autoscale grows and shrinks the active roster on queue-pressure
-	// watermarks with a provisioning delay (see AutoscaleConfig).
+	// watermarks with a provisioning delay when Autoscale.Min or
+	// Autoscale.Max is set (see AutoscaleConfig).
 	Autoscale AutoscaleConfig
 	// Chaos injects deterministic device failures, drains and restores
 	// mid-run, from an explicit trace or an MTBF/MTTR generator (see
@@ -128,10 +133,10 @@ func (c Config) withDefaults() Config {
 	if c.Engine == Hybrid && c.HybridWarm == 0 {
 		c.HybridWarm = DefaultHybridWarm
 	}
-	if c.Shards > 1 && c.ShardEpoch == 0 {
+	if c.ShardEpoch == 0 {
 		c.ShardEpoch = DefaultShardEpoch
 	}
-	if c.Closed.Enabled {
+	if c.Closed.on() {
 		if c.Closed.Requests == 0 {
 			c.Closed.Requests = DefaultClosedRequests
 		}
@@ -142,7 +147,7 @@ func (c Config) withDefaults() Config {
 			c.Closed.Backoff = DefaultBackoff
 		}
 	}
-	if c.Autoscale.Enabled {
+	if c.Autoscale.on() {
 		if c.Autoscale.Min == 0 {
 			c.Autoscale.Min = 1
 		}
@@ -158,14 +163,7 @@ func (c Config) withDefaults() Config {
 		if c.Autoscale.Delay == 0 {
 			c.Autoscale.Delay = DefaultProvisionDelay
 		}
-		if c.Autoscale.Epoch == 0 {
-			c.Autoscale.Epoch = c.ShardEpoch
-			if c.Autoscale.Epoch == 0 {
-				c.Autoscale.Epoch = DefaultShardEpoch
-			}
-		}
 	}
-	c.SLO = c.SLO.withDefaults()
 	c.Chaos = c.Chaos.withDefaults()
 	return c
 }
@@ -218,8 +216,8 @@ func (c Config) validate() error {
 	if c.Aging < 0 {
 		return fmt.Errorf("fleet: aging weight %g must not be negative", c.Aging)
 	}
-	if err := c.SLO.validate(); err != nil {
-		return err
+	if c.SLO > SLOPreempt {
+		return fmt.Errorf("fleet: unknown SLO mode %v", c.SLO)
 	}
 	switch c.Policy {
 	case sched.Serial, sched.FCFS, sched.ProfileBased, sched.ILP, sched.ILPSMRA:
@@ -262,7 +260,7 @@ func (c Config) validate() error {
 			}
 		}
 	}
-	if c.Closed.Enabled {
+	if c.Closed.on() {
 		if c.Closed.Clients < 1 {
 			return fmt.Errorf("fleet: closed-loop runs need at least one client (got %d)", c.Closed.Clients)
 		}
@@ -282,13 +280,10 @@ func (c Config) validate() error {
 			return fmt.Errorf("fleet: closed-loop runs need a benchmark universe")
 		}
 	}
-	if c.Admission.Enabled && c.Admission.MaxWait == 0 {
-		return fmt.Errorf("fleet: admission control needs a positive wait bound")
-	}
 	if err := c.Chaos.validate(c.TotalDevices()); err != nil {
 		return err
 	}
-	if c.Autoscale.Enabled {
+	if c.Autoscale.on() {
 		if c.Autoscale.Min < 1 || c.Autoscale.Min > c.Autoscale.Max || c.Autoscale.Max > c.TotalDevices() {
 			return fmt.Errorf("fleet: autoscale bounds %d..%d invalid for a %d-device roster",
 				c.Autoscale.Min, c.Autoscale.Max, c.TotalDevices())

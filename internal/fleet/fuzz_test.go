@@ -179,29 +179,42 @@ func FuzzParseChaos(f *testing.F) {
 	})
 }
 
-// FuzzParseControls drives the admission and autoscale spelling
-// parsers together (they share the PREFIX:VALUE shape): never panic,
-// and accepted inputs re-parse to the same configuration.
+// FuzzParseControls drives the control-surface spelling parsers
+// together (admission and autoscale share the PREFIX:VALUE shape, and
+// every parser reads "off"): never panic, accepted inputs re-parse to
+// the same configuration, "off" is the zero value, and every other
+// accepted spelling switches its surface on.
 func FuzzParseControls(f *testing.F) {
 	for _, seed := range []string{
 		"off", "OFF", "", "reject:60000", "degrade:25000",
 		"reject:0", "reject:", "reject", "admit:5", "degrade:-1",
 		"1:4", "2:8", "0:4", "4:2", "1:", ":4", "1:4:9", "x:y",
+		"preempt", "mtbf:100:20", "fail@5:0",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		off := s == "" || strings.EqualFold(s, "off")
 		if adm, err := ParseAdmission(s); err == nil {
-			if adm.Enabled && adm.MaxWait == 0 {
-				t.Fatalf("ParseAdmission(%q) enabled with zero bound", s)
+			if adm.on() == off || off && adm != (AdmissionConfig{}) {
+				t.Fatalf("ParseAdmission(%q) = %+v: on() = %v for off = %v", s, adm, adm.on(), off)
 			}
 			again, err := ParseAdmission(s)
 			if err != nil || again != adm {
 				t.Fatalf("ParseAdmission(%q) not stable: %+v vs %+v (%v)", s, adm, again, err)
 			}
 		}
+		if m, err := ParseSLOMode(s); err == nil && (m != SLOOff) == off {
+			t.Fatalf("ParseSLOMode(%q) = %v for off = %v", s, m, off)
+		}
+		if ch, err := ParseChaosSpec(s); err == nil && ch.on() == off {
+			t.Fatalf("ParseChaosSpec(%q) = %+v: on() = %v for off = %v", s, ch, ch.on(), off)
+		}
 		if as, err := ParseAutoscale(s); err == nil {
-			if as.Enabled && (as.Min < 1 || as.Max < as.Min) {
+			if as.on() == off || off && as != (AutoscaleConfig{}) {
+				t.Fatalf("ParseAutoscale(%q) = %+v: on() = %v for off = %v", s, as, as.on(), off)
+			}
+			if as.on() && (as.Min < 1 || as.Max < as.Min) {
 				t.Fatalf("ParseAutoscale(%q) accepted invalid bounds: %+v", s, as)
 			}
 			again, err := ParseAutoscale(s)

@@ -80,7 +80,7 @@ func goldenCases(t *testing.T) []struct {
 			cfg: func() Config {
 				return Config{
 					Devices: homo(small, 2), NC: 2, Policy: sched.ILPSMRA,
-					SLO: SLOConfig{Enabled: true, Preempt: true},
+					SLO: SLOPreempt,
 				}
 			},
 			arr: slo,

@@ -75,7 +75,7 @@ func (f *Fleet) newLoop(id int, perClient [][]*job, chaos []ChaosEvent) *loop {
 		f:          f,
 		id:         id,
 		flightOf:   make([]*inflight, total),
-		queue:      jobQueue{slo: f.cfg.SLO.Enabled},
+		queue:      jobQueue{slo: f.cfg.SLO != SLOOff},
 		resolved:   flightHeap{minHeap[*inflight]{less: completionLess}, flightResolved},
 		unresolved: flightHeap{minHeap[*inflight]{less: boundLess}, flightPending},
 		idleDevs:   newDeviceHeap(f.orderPos),
@@ -95,9 +95,9 @@ func (f *Fleet) newLoop(id int, perClient [][]*job, chaos []ChaosEvent) *loop {
 	if f.cfg.Engine == Hybrid {
 		l.hybrid = make(map[string]*hybridCal)
 	}
-	if f.ctlEnabled() {
+	if f.ctlOn() {
 		minD, maxD := len(l.devices), len(l.devices)
-		if f.cfg.Autoscale.Enabled {
+		if f.cfg.Autoscale.on() {
 			minD = splitBound(f.cfg.Autoscale.Min, k, id)
 			maxD = splitBound(f.cfg.Autoscale.Max, k, id)
 		}
@@ -107,7 +107,7 @@ func (f *Fleet) newLoop(id int, perClient [][]*job, chaos []ChaosEvent) *loop {
 		// push seq) — a submission never races onto a device the same
 		// cycle kills.
 		l.ctl.initChaos(chaos)
-		if f.cfg.Closed.Enabled {
+		if f.cfg.Closed.on() {
 			var ids []int
 			for c := id; c < len(perClient); c += k {
 				ids = append(ids, c)
@@ -124,7 +124,7 @@ func (f *Fleet) newLoop(id int, perClient [][]*job, chaos []ChaosEvent) *loop {
 		}
 	}
 	if f.cfg.SampleEvery > 0 {
-		l.col = newSampler(f.cfg.SampleEvery, total, l.ctl != nil, f.cfg.Chaos.Enabled)
+		l.col = newSampler(f.cfg.SampleEvery, total, l.ctl != nil, f.cfg.Chaos.on())
 		l.col.ctl = l.ctl
 	}
 	return l
@@ -194,7 +194,7 @@ func (l *loop) runUntil(limit uint64) {
 		// loop back so the dispatch pass places the trigger on the freed
 		// device (a shard's latency job can only be rescued by a device
 		// its shard owns — the router decided its shard).
-		if f.cfg.SLO.Preempt && l.queue.Len() > 0 && l.queue.at(0).slo == Latency {
+		if f.cfg.SLO == SLOPreempt && l.queue.Len() > 0 && l.queue.at(0).slo == Latency {
 			if victim := f.preemptVictim(l.queue.at(0), l.flightOf, l.ctl, l.now); victim != nil {
 				l.evict(victim, l.queue.at(0).id)
 				l.idleDevs.push(victim.device)

@@ -110,8 +110,8 @@ type Result struct {
 	// Devices is the total device count across the roster.
 	Devices int
 	NC      int
-	// Shards is how many parallel event loops produced the result (0 for
-	// an unsharded run). Counts above 1 partition the backlog, so the
+	// Shards is how many event loops produced the result (0 for an
+	// unsharded run). Counts above 1 partition the backlog, so the
 	// accounting is that of a K-way-split fleet; repeat runs at the same
 	// count are byte-identical.
 	Shards int

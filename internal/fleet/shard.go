@@ -6,15 +6,15 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // The shard coordinator. With Config.Shards = K > 1 the roster is
 // partitioned into K fixed device sets, each owned by an independent
-// event loop (loop.go) running on its own goroutine. Shards couple only
-// through the arrival router, so the loops need no locks and no shared
-// mutable state: everything a loop touches is either its own or
-// read-only on the Fleet. With Shards <= 1, Run drives a single loop
+// event loop (loop.go). Shards couple only through the arrival router:
+// between two barriers the coordinator runs the loops one after
+// another on its own goroutine, and no loop touches another's state.
+// (Running them concurrently bought no wall time: one loop measured
+// fastest on every host.) With Shards <= 1, Run drives a single loop
 // with no coordinator at all.
 //
 // Determinism is preserved by construction, not by luck:
@@ -27,8 +27,7 @@ import (
 //     time to the least-loaded shard (ties to the lowest shard id) —
 //     a pure function of deterministic state.
 //   - inside an epoch each shard is a single-threaded DES over its own
-//     devices; goroutine scheduling cannot reorder its events because
-//     no other goroutine shares its state.
+//     devices, and the shards run in shard-id order.
 //   - the merge is order-fixed: every loop accounts by global device
 //     id, counters sum, eviction records sort by their (cycle, device)
 //     total order, job records are emitted in global arrival order, and
@@ -55,10 +54,7 @@ func (l *loop) load() int {
 }
 
 // runSharded is the coordinator: it routes arrivals epoch by epoch and
-// drives the shard goroutines between barriers. Shard goroutines only
-// run inside runAll calls and the coordinator only touches shard state
-// outside them, so the two sides never race; the WaitGroup barrier
-// also orders memory between coordinator and shards.
+// runs every shard loop up to each barrier.
 func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) ([]*loop, error) {
 	chaos := f.resolveChaos()
 	shards := make([]*loop, f.cfg.Shards)
@@ -66,39 +62,19 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) ([]*loop, error) {
 		shards[i] = f.newLoop(i, perClient, chaos)
 	}
 	epoch := f.cfg.ShardEpoch
-	if epoch == 0 {
-		epoch = DefaultShardEpoch
-	}
 	const inf = math.MaxUint64
-	// Shards never touch each other's state, so between barriers they can
-	// run in any order — concurrently on a multicore host, or one after
-	// another when the runtime has a single CPU anyway (same bytes out,
-	// none of the goroutine/barrier overhead). Determinism never depends
-	// on which of the two executes.
-	sequential := runtime.GOMAXPROCS(0) == 1
+	// runAll advances every shard to limit and reports the first error
+	// by shard id. It yields at every barrier: the loops never block,
+	// and without a scheduling point a busy host's GC mark worker waits
+	// for preemption — perfbench sweep-control's peak RSS measured ~7%
+	// higher without the yield.
 	runAll := func(limit uint64) error {
-		if sequential {
-			for _, s := range shards {
-				s.runUntil(limit)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for _, s := range shards {
-				wg.Add(1)
-				go func(s *loop) {
-					defer wg.Done()
-					s.runUntil(limit)
-				}(s)
-			}
-			wg.Wait()
-		}
-		// First error by shard id, so a multi-shard failure reports
-		// deterministically.
 		for _, s := range shards {
-			if s.err != nil {
+			if s.runUntil(limit); s.err != nil {
 				return s.err
 			}
 		}
+		runtime.Gosched()
 		return nil
 	}
 	// Open-loop arrivals are routed. Closed-loop jobs are not: newLoop
@@ -109,7 +85,7 @@ func (f *Fleet) runSharded(jobs []*job, perClient [][]*job) ([]*loop, error) {
 	// to synchronize on (the autoscaler still reconciles on its own
 	// epoch grid within each shard).
 	routed := jobs
-	if f.cfg.Closed.Enabled {
+	if f.cfg.Closed.on() {
 		routed = nil
 	}
 	loads := make([]int, len(shards))

@@ -28,7 +28,7 @@ func shardedCase(t *testing.T, shards int) (Config, []Arrival) {
 		NC:          2,
 		Policy:      sched.ILPSMRA,
 		Engine:      Modeled,
-		SLO:         SLOConfig{Enabled: true, Preempt: true},
+		SLO:         SLOPreempt,
 		Shards:      shards,
 		ShardEpoch:  10_000,
 		SampleEvery: goldenSampleEvery,

@@ -28,8 +28,8 @@ type job struct {
 	slo      SLOClass
 	deadline uint64
 	// progress is the checkpointed completed fraction preserved across
-	// evictions, in [0, MaxCheckpoint]. evictions counts how often the
-	// job was preempted.
+	// evictions, in [0, DefaultMaxCheckpoint]. evictions counts how
+	// often the job was preempted.
 	progress  float64
 	evictions int
 	// client is the closed-loop client pool that owns the job, -1 for
@@ -70,11 +70,11 @@ func (j *job) deadlineAbs() uint64 { return j.arrival + j.deadline }
 // still execute: everything for a fresh job; for a checkpointed one the
 // un-preserved remainder plus the explicit restart cost (re-reading
 // inputs, replaying the un-checkpointed tail), capped at a full re-run.
-func (j *job) remainingFrac(slo SLOConfig) float64 {
+func (j *job) remainingFrac() float64 {
 	if j.progress == 0 {
 		return 1
 	}
-	rem := 1 - j.progress + slo.RestartFrac
+	rem := 1 - j.progress + DefaultRestartFrac
 	if rem > 1 {
 		rem = 1
 	}
@@ -85,7 +85,7 @@ func (j *job) remainingFrac(slo SLOConfig) float64 {
 // checkpoint model: a job that preserved fraction p of itself only
 // occupies the device for its remaining fraction of the simulated run.
 func (f *Fleet) effectiveCycles(j *job, end uint64) uint64 {
-	rem := j.remainingFrac(f.cfg.SLO)
+	rem := j.remainingFrac()
 	if rem >= 1 {
 		return end
 	}
@@ -170,7 +170,7 @@ func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
 		// A checkpointed member's effective runtime is its simulated end
 		// scaled by the remaining fraction, so its bound scales the same
 		// way (end >= lb implies end*rem >= lb*rem).
-		lb *= m.remainingFrac(f.cfg.SLO)
+		lb *= m.remainingFrac()
 		if lb > bound {
 			bound = lb
 		}
@@ -184,12 +184,12 @@ func (f *Fleet) lowerBoundCycles(members []*job, t int) uint64 {
 // jobs to the epoch coordinator of shard.go. Either way the drained
 // loops are assembled into the Result by one collect step.
 func (f *Fleet) Run(arrivals []Arrival) (Result, error) {
-	closed := f.cfg.Closed.Enabled
+	closed := f.cfg.Closed.on()
 	if closed && len(arrivals) > 0 {
 		return Result{}, fmt.Errorf("fleet: closed-loop runs generate their own submissions; pass no arrivals")
 	}
 	if !closed && len(arrivals) == 0 {
-		return Result{}, fmt.Errorf("fleet: empty arrival stream")
+		return Result{}, fmt.Errorf("fleet: empty arrival stream (closed-loop runs need Closed.Clients > 0)")
 	}
 	var (
 		jobs      []*job
@@ -231,10 +231,10 @@ func (f *Fleet) newResult() Result {
 		Roster:     f.cfg.RosterString(),
 		Devices:    len(f.devType),
 		NC:         f.cfg.NC,
-		Closed:     f.cfg.Closed.Enabled,
-		Admission:  f.cfg.Admission.Enabled,
-		Autoscale:  f.cfg.Autoscale.Enabled,
-		Chaos:      f.cfg.Chaos.Enabled,
+		Closed:     f.cfg.Closed.on(),
+		Admission:  f.cfg.Admission.on(),
+		Autoscale:  f.cfg.Autoscale.on(),
+		Chaos:      f.cfg.Chaos.on(),
 		DeviceBusy: make([]uint64, len(f.devType)),
 	}
 	for d := range f.devType {
@@ -414,13 +414,12 @@ const chaosTriggerID = -1
 // The checkpoint is taken from the solo-profile progress model, not from
 // simulator state: a job that ran elapsed cycles preserves up to
 // elapsed/solo of itself (optimistic — co-running is slower than solo),
-// capped at MaxCheckpoint. Wasted accounts the attempt time the
+// capped at DefaultMaxCheckpoint. Wasted accounts the attempt time the
 // checkpoints do not preserve plus the restart tax the re-dispatch will
 // pay.
 func (f *Fleet) evictAs(fl *inflight, triggerID int, now uint64, res *Result) {
 	elapsed := now - fl.dispatch
 	rec := EvictionRecord{Cycle: now, Device: fl.device, TriggerJob: triggerID}
-	slo := f.cfg.SLO
 	for _, j := range fl.jobs {
 		before := j.progress
 		var solo float64
@@ -428,26 +427,19 @@ func (f *Fleet) evictAs(fl *inflight, triggerID int, now uint64, res *Result) {
 			solo = float64(sp.cycles)
 		}
 		if solo > 0 {
-			// A re-dispatched attempt spends its first min(RestartFrac,
-			// progress)*solo cycles replaying already-checkpointed work;
-			// only the time past that replay earns new progress —
-			// otherwise repeated evictions would mint checkpoint credit
-			// out of restarts alone.
+			// A re-dispatched attempt spends its first
+			// min(DefaultRestartFrac, progress)*solo cycles replaying
+			// already-checkpointed work; only the time past that replay
+			// earns new progress — otherwise repeated evictions would
+			// mint checkpoint credit out of restarts alone.
 			fresh := float64(elapsed)
 			if before > 0 {
-				replay := slo.RestartFrac
-				if before < replay {
-					replay = before
-				}
-				fresh -= replay * solo
+				fresh -= min(DefaultRestartFrac, before) * solo
 				if fresh < 0 {
 					fresh = 0
 				}
 			}
-			j.progress += fresh / solo
-			if j.progress > slo.MaxCheckpoint {
-				j.progress = slo.MaxCheckpoint
-			}
+			j.progress = min(j.progress+fresh/solo, DefaultMaxCheckpoint)
 		}
 		j.evictions++
 		rec.Jobs = append(rec.Jobs, j.id)
@@ -457,13 +449,10 @@ func (f *Fleet) evictAs(fl *inflight, triggerID int, now uint64, res *Result) {
 			waste = 0
 		}
 		// The restart tax actually charged on re-dispatch is capped by
-		// remainingFrac at min(RestartFrac, progress) of the solo run —
-		// a job with no checkpoint re-runs from scratch and pays none.
-		tax := slo.RestartFrac
-		if j.progress < tax {
-			tax = j.progress
-		}
-		waste += tax * solo
+		// remainingFrac at min(DefaultRestartFrac, progress) of the solo
+		// run — a job with no checkpoint re-runs from scratch and pays
+		// none.
+		waste += min(DefaultRestartFrac, j.progress) * solo
 		rec.Wasted += uint64(waste)
 	}
 	// The aborted attempt occupied the device for real.
@@ -517,7 +506,7 @@ func (f *Fleet) soloCycles(j *job, t int) (uint64, bool) {
 	if !sp.ok {
 		return 0, false
 	}
-	c := uint64(math.Ceil(float64(sp.cycles) * j.remainingFrac(f.cfg.SLO)))
+	c := uint64(math.Ceil(float64(sp.cycles) * j.remainingFrac()))
 	if c < 1 {
 		c = 1
 	}

@@ -43,82 +43,66 @@ func ParseSLOClass(s string) (SLOClass, error) {
 	}
 }
 
-// ParseSLOMode maps the CLI's -slo mode spellings to a dispatch
-// configuration: "off" is class-blind, "priority" queues latency jobs
-// first, "preempt" additionally evicts running batch groups to save
-// deadlines. Shared by cmd/fleet and the sweep grid so both spell the
-// modes identically.
-func ParseSLOMode(s string) (SLOConfig, error) {
-	switch strings.ToLower(s) {
-	case "off":
-		return SLOConfig{}, nil
-	case "priority":
-		return SLOConfig{Enabled: true}, nil
-	case "preempt":
-		return SLOConfig{Enabled: true, Preempt: true}, nil
+// SLOMode selects class-aware dispatch. The zero value, SLOOff, is the
+// class-blind dispatcher of earlier revisions.
+type SLOMode uint8
+
+const (
+	// SLOOff dispatches without regard to class.
+	SLOOff SLOMode = iota
+	// SLOPriority queues latency jobs ahead of batch jobs and lets them
+	// seed group formation first.
+	SLOPriority
+	// SLOPreempt is SLOPriority plus eviction: the dispatcher may evict
+	// a running batch-only group when a waiting latency job would miss
+	// its deadline even if dispatched the instant the next device is
+	// predicted to free (under the solo-progress model). Evicted jobs
+	// re-enter the queue with their completed fraction checkpointed.
+	SLOPreempt
+)
+
+// String names the mode as the CLI spells it.
+func (m SLOMode) String() string {
+	switch m {
+	case SLOOff:
+		return "off"
+	case SLOPriority:
+		return "priority"
+	case SLOPreempt:
+		return "preempt"
 	default:
-		return SLOConfig{}, fmt.Errorf("fleet: unknown SLO mode %q (off, priority, preempt)", s)
+		return fmt.Sprintf("SLOMode(%d)", int(m))
 	}
 }
 
-// SLOConfig parameterizes class-aware dispatch. The zero value disables
-// it entirely, reproducing the class-blind dispatcher of earlier
-// revisions.
-type SLOConfig struct {
-	// Enabled turns on class-aware dispatch: latency jobs queue ahead of
-	// batch jobs and seed group formation first.
-	Enabled bool
-	// Preempt allows the dispatcher to evict a running batch-only group
-	// when a waiting latency job would miss its deadline even if
-	// dispatched the instant the next device is predicted to free (under
-	// the solo-progress model). Evicted jobs re-enter the queue with
-	// their completed fraction checkpointed.
-	Preempt bool
-	// RestartFrac is the restart cost of a checkpointed job, as a
-	// fraction of its solo duration on the device that re-runs it, paid
-	// once per re-dispatch (0 selects DefaultRestartFrac). It models
-	// state re-materialization: reloading inputs and replaying the
-	// un-checkpointed tail.
-	RestartFrac float64
-	// MaxCheckpoint caps the preserved completed fraction (0 selects
-	// DefaultMaxCheckpoint): a job evicted arbitrarily late still has to
-	// re-run at least 1-MaxCheckpoint of itself, because checkpoints are
-	// taken from the solo-profile progress model, not from simulator
-	// state.
-	MaxCheckpoint float64
+// ParseSLOMode parses the CLI's -slo spelling: "off" (or empty) is
+// class-blind, "priority" queues latency jobs first, "preempt"
+// additionally evicts running batch groups to save deadlines. Shared by
+// cmd/fleet and the sweep grid so both spell the modes identically.
+func ParseSLOMode(s string) (SLOMode, error) {
+	switch strings.ToLower(s) {
+	case "", "off":
+		return SLOOff, nil
+	case "priority":
+		return SLOPriority, nil
+	case "preempt":
+		return SLOPreempt, nil
+	default:
+		return SLOOff, fmt.Errorf("fleet: unknown SLO mode %q (off, priority, preempt)", s)
+	}
 }
 
-// Default SLO model parameters: a restart costs a tenth of the job's
-// solo duration, and at most 90% of a job survives an eviction.
+// The checkpoint model of an eviction. A re-dispatched job pays
+// DefaultRestartFrac of its solo duration on the device that re-runs it
+// (state re-materialization: reloading inputs and replaying the
+// un-checkpointed tail), and at most DefaultMaxCheckpoint of a job
+// survives an eviction: a job evicted arbitrarily late still re-runs at
+// least a tenth of itself, because checkpoints come from the
+// solo-profile progress model, not from simulator state.
 const (
 	DefaultRestartFrac   = 0.1
 	DefaultMaxCheckpoint = 0.9
 )
-
-// withDefaults resolves zero fields.
-func (s SLOConfig) withDefaults() SLOConfig {
-	if s.RestartFrac == 0 {
-		s.RestartFrac = DefaultRestartFrac
-	}
-	if s.MaxCheckpoint == 0 {
-		s.MaxCheckpoint = DefaultMaxCheckpoint
-	}
-	return s
-}
-
-// validate rejects impossible SLO models.
-func (s SLOConfig) validate() error {
-	if s.RestartFrac < 0 || s.RestartFrac >= 1 {
-		return fmt.Errorf("fleet: restart fraction %g outside [0,1)", s.RestartFrac)
-	}
-	if s.MaxCheckpoint < 0 || s.MaxCheckpoint >= 1 {
-		return fmt.Errorf("fleet: checkpoint cap %g outside [0,1)", s.MaxCheckpoint)
-	}
-	if s.Preempt && !s.Enabled {
-		return fmt.Errorf("fleet: preemption requires SLO-aware dispatch (SLO.Enabled)")
-	}
-	return nil
-}
 
 // EvictionRecord is one preemption event: which device was cleared at
 // which cycle, which jobs went back to the queue, and how much progress

@@ -47,9 +47,9 @@ func TestPreemptionLowersMissRate(t *testing.T) {
 	p := testPipeline(t)
 	arr := sloArrivals(t)
 	base := runSLO(t, arr, Config{Devices: homo(p, 2), NC: 2, Policy: sched.ILP,
-		SLO: SLOConfig{Enabled: true}})
+		SLO: SLOPriority})
 	pre := runSLO(t, arr, Config{Devices: homo(p, 2), NC: 2, Policy: sched.ILP,
-		SLO: SLOConfig{Enabled: true, Preempt: true}})
+		SLO: SLOPreempt})
 
 	if base.DeadlineMisses() == 0 {
 		t.Fatal("ablation is vacuous: no deadline misses without preemption")
@@ -101,7 +101,7 @@ func TestPreemptionDeterminism(t *testing.T) {
 	var summaries, traces []string
 	for i := 0; i < 2; i++ {
 		res := runSLO(t, arr, Config{Devices: homo(p, 2), NC: 2, Policy: sched.ILP,
-			SLO: SLOConfig{Enabled: true, Preempt: true}})
+			SLO: SLOPreempt})
 		summaries = append(summaries, res.Summary())
 		traces = append(traces, res.EvictionTrace())
 	}
@@ -129,7 +129,7 @@ func TestSLOPriorityDispatch(t *testing.T) {
 	arr = append(arr, Arrival{Name: "miniA", Cycle: 8, SLO: Latency, Deadline: 300_000})
 	blind := runSLO(t, arr, Config{Devices: homo(p, 1), NC: 2, Policy: sched.ILP})
 	aware := runSLO(t, arr, Config{Devices: homo(p, 1), NC: 2, Policy: sched.ILP,
-		SLO: SLOConfig{Enabled: true}})
+		SLO: SLOPriority})
 	id := len(arr) - 1
 	if aware.Jobs[id].Dispatch > blind.Jobs[id].Dispatch {
 		t.Fatalf("SLO-aware dispatch delayed the latency job: %d > %d",
@@ -242,10 +242,7 @@ func TestWindowForAdaptive(t *testing.T) {
 func TestSLOValidation(t *testing.T) {
 	p := testPipeline(t)
 	bad := []Config{
-		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Preempt: true}},
-		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Enabled: true, RestartFrac: -0.1}},
-		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Enabled: true, RestartFrac: 1}},
-		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOConfig{Enabled: true, MaxCheckpoint: 1.5}},
+		{Devices: homo(p, 1), NC: 2, Policy: sched.FCFS, SLO: SLOPreempt + 1},
 		{Devices: homo(p, 1), NC: 2, Policy: sched.ILP, Aging: -1},
 	}
 	for i, cfg := range bad {

@@ -108,7 +108,7 @@ const (
 
 // The chaos-column block, present exactly when failure injection is
 // configured (sampler.chaos): gauges of how many devices are currently
-// failed or draining. Chaos implies a control surface (ctlEnabled), so
+// failed or draining. Chaos implies a control surface (ctlOn), so
 // the block always follows the control block and these absolute
 // offsets hold whenever it is emitted.
 const (
@@ -277,7 +277,7 @@ func (s *sampler) emit(edge uint64, q *jobQueue, flightOf []*inflight, res *Resu
 // so the column sum is exactly what a single sampler over the merged
 // event stream would have produced.
 func mergeSeries(f *Fleet, loops []*loop, makespan uint64) (*obs.Series, error) {
-	merged := newSampler(f.cfg.SampleEvery, len(f.devType), f.ctlEnabled(), f.cfg.Chaos.Enabled)
+	merged := newSampler(f.cfg.SampleEvery, len(f.devType), f.ctlOn(), f.cfg.Chaos.on())
 	// Every loop stops at its last settled job, but that job may settle
 	// by a control event (an abandon or a rejected submission) after the
 	// fleet's last completion, pushing the loop's sampler past the

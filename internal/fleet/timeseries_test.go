@@ -14,7 +14,7 @@ func seriesRun(t *testing.T, sampleEvery uint64) Result {
 	t.Helper()
 	f, err := NewHomogeneous(testPipeline(t), 2, Config{
 		NC: 2, Policy: sched.ILPSMRA,
-		SLO:         SLOConfig{Enabled: true, Preempt: true},
+		SLO:         SLOPreempt,
 		Engine:      Modeled,
 		SampleEvery: sampleEvery,
 	})

@@ -40,7 +40,7 @@ func TestWideGroupGolden(t *testing.T) {
 		for _, r := range rosters {
 			f, err := New(Config{
 				Devices: r.devices, NC: nc, Policy: sched.ILPSMRA, Engine: Modeled,
-				Aging: r.aging, SLO: SLOConfig{Enabled: true, Preempt: true},
+				Aging: r.aging, SLO: SLOPreempt,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -145,7 +145,7 @@ func (r Runner) runCell(g Grid, c Cell, roster []fleet.DeviceSpec, arrivals []fl
 	}
 	if c.Arrival == fleet.ClosedLoop {
 		cfg.Closed = fleet.ClosedConfig{
-			Enabled: true, Clients: g.Clients, Requests: g.Requests,
+			Clients: g.Clients, Requests: g.Requests,
 			Think: g.Think, Timeout: g.Timeout, Retries: g.Retries,
 			LatencyFrac: g.LatencyFrac, Deadline: g.Deadline,
 			Seed:     rng.Hash2(g.Seed, uint64(fleet.ClosedLoop)+1),

@@ -1,5 +1,6 @@
 // Package sweep expands a scenario grid — dispatch policy × completion
-// engine × roster × arrival process × SLO mode — into fleet runs, fans
+// engine × roster × arrival process × SLO mode × admission × autoscale
+// × shard count × chaos — into fleet runs, fans
 // them over a bounded worker pool, and collects every cell's summary
 // metrics into one tidy artifact (CSV or JSON) with the cell parameters
 // as leading columns. It is the Go-native analogue of mgpusim's
@@ -52,13 +53,14 @@ type Grid struct {
 	// Shards is the event-loop shard axis (-shards); it only applies to
 	// modeled-engine cells. Each count is deterministic (repeat sweeps
 	// are byte-identical), and counts above 1 split the backlog K ways,
-	// so the axis exposes both the wall-time win and the K-way
-	// partition's scheduling cost. Empty defaults to one unsharded
-	// event loop.
+	// so the axis exposes the K-way partition's scheduling cost (the
+	// shard loops run one after another, so there is no wall-time
+	// win). Empty defaults to one unsharded event loop.
 	Shards []int `json:"shards"`
 	// NC, Jobs, Rate, LatencyFrac, Deadline, Aging and HybridWarm are
-	// shared by every cell (zero picks the cmd/fleet defaults: NC 2,
-	// 32 jobs, rate 0.5/kcycle).
+	// shared by every cell. Zero picks NC 2 and rate 0.5/kcycle (the
+	// cmd/fleet defaults) and 32 jobs (the sweep's own default; cmd/fleet
+	// defaults to 200).
 	NC          int     `json:"nc"`
 	Jobs        int     `json:"jobs"`
 	Rate        float64 `json:"rate"`
@@ -67,10 +69,10 @@ type Grid struct {
 	Aging       float64 `json:"aging"`
 	HybridWarm  int     `json:"hybrid_warm"`
 	// Clients, Requests, Think, Timeout and Retries shape closed-loop
-	// cells (an "closed" entry on the Arrivals axis): client-pool count,
+	// cells (a "closed" entry on the Arrivals axis): client-pool count,
 	// requests per client, mean think time, per-request patience and the
-	// retry budget. Zero picks the fleet defaults (8 clients). Open-loop
-	// cells ignore them.
+	// retry budget. Zero picks 8 clients (the cmd/fleet default) and the
+	// fleet defaults for the rest. Open-loop cells ignore them.
 	Clients  int     `json:"clients"`
 	Requests int     `json:"requests"`
 	Think    float64 `json:"think"`
@@ -125,7 +127,7 @@ type Cell struct {
 	Roster        string
 	Arrival       fleet.ArrivalKind
 	SLOName       string
-	SLO           fleet.SLOConfig
+	SLO           fleet.SLOMode
 	AdmissionName string
 	Admission     fleet.AdmissionConfig
 	AutoscaleName string
@@ -175,8 +177,8 @@ func policyName(p sched.Policy) string {
 // Expand resolves the grid into its cells, validating every axis entry
 // up front (a typo fails the whole sweep before any cell runs). The
 // order is fixed — roster, then arrivals, then policy, then engine,
-// then SLO mode, then shards, then chaos — so the artifact's rows are
-// reproducible.
+// then SLO mode, then admission, then autoscale, then shards, then
+// chaos — so the artifact's rows are reproducible.
 func (g Grid) Expand() ([]Cell, error) {
 	g = g.withDefaults()
 	policies := make([]sched.Policy, len(g.Policies))
@@ -206,7 +208,7 @@ func (g Grid) Expand() ([]Cell, error) {
 		}
 		arrivals[i] = k
 	}
-	slos := make([]fleet.SLOConfig, len(g.SLOs))
+	slos := make([]fleet.SLOMode, len(g.SLOs))
 	for i, s := range g.SLOs {
 		cfg, err := fleet.ParseSLOMode(s)
 		if err != nil {
@@ -268,10 +270,6 @@ func (g Grid) Expand() ([]Cell, error) {
 							for oi, scale := range autoscales {
 								for _, sh := range g.Shards {
 									for ci, chaos := range chaoses {
-										name := strings.ToLower(g.Chaoses[ci])
-										if name == "" {
-											name = "off"
-										}
 										cells = append(cells, Cell{
 											Policy:  pol,
 											Engine:  eng,
@@ -280,13 +278,13 @@ func (g Grid) Expand() ([]Cell, error) {
 											// Normalized spelling, so two artifacts key the
 											// same cell identically whatever case the grid
 											// used.
-											SLOName:       strings.ToLower(g.SLOs[si]),
+											SLOName:       controlName(g.SLOs[si]),
 											SLO:           slo,
-											AdmissionName: strings.ToLower(g.Admissions[ai]),
+											AdmissionName: controlName(g.Admissions[ai]),
 											Admission:     adm,
-											AutoscaleName: strings.ToLower(g.Autoscales[oi]),
+											AutoscaleName: controlName(g.Autoscales[oi]),
 											Autoscale:     scale,
-											ChaosName:     name,
+											ChaosName:     controlName(g.Chaoses[ci]),
 											Chaos:         chaos,
 											Shards:        sh,
 										})
@@ -300,6 +298,16 @@ func (g Grid) Expand() ([]Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// controlName is the canonical artifact spelling of a control-axis
+// entry: lower case, with the empty spelling named "off" like the zero
+// value it parses to.
+func controlName(s string) string {
+	if s == "" {
+		return "off"
+	}
+	return strings.ToLower(s)
 }
 
 // cellRun is one finished cell as the metric table reads it: the
